@@ -69,7 +69,7 @@ main()
         SimObservers observers;
         observers.attribution = &sink;
         simulateLayout(mc.program, base, stream, mc.cache, false,
-                       nullptr, &observers);
+                       &observers);
         const std::vector<ConflictPair> top = sink.topPairs(1);
         const std::string conflict =
             top.empty() ? "-"

@@ -36,16 +36,6 @@ DirectMappedCache::reset()
                    std::numeric_limits<std::uint64_t>::max());
 }
 
-void
-DirectMappedCache::restoreStateWords(
-    const std::vector<std::uint64_t> &words)
-{
-    requireData(words.size() == frames_.size(),
-                "DirectMappedCache: checkpoint state size mismatch "
-                "(different cache geometry?)");
-    frames_ = words;
-}
-
 std::uint64_t
 DirectMappedCache::validLineCount() const
 {

@@ -160,17 +160,11 @@ class DirectMappedCache
     /** Invalidate all frames. */
     void reset();
 
-    /** Raw frame words for checkpointing (opaque to the caller). */
+    /** Raw frame words (opaque); tests compare them across paths. */
     const std::vector<std::uint64_t> &stateWords() const
     {
         return frames_;
     }
-
-    /**
-     * Restore frame words captured by stateWords() on an identically
-     * configured cache; throws TopoError on a size mismatch.
-     */
-    void restoreStateWords(const std::vector<std::uint64_t> &words);
 
     /**
      * Frames currently holding a line. Misses minus this count equals

@@ -17,8 +17,8 @@
  *   void onFill(set, way)        a miss filled this way
  *   void reset()                 return to the cold state (including
  *                                reseeding any RNG)
- *   state serialization          stateWordCount / appendStateWords /
- *                                restoreStateWords, for checkpoints
+ *   state export                 stateWordCount / appendStateWords,
+ *                                so tests can compare cache states
  *   kName                        CLI / report spelling
  *   kKind                        the ReplacementPolicy enumerator
  *   kRepeatElisionSound          whether the replay's repeat-elision
@@ -168,14 +168,6 @@ class TrueLruPolicy
         words.insert(words.end(), clock_.begin(), clock_.end());
     }
 
-    void
-    restoreStateWords(const std::uint64_t *words)
-    {
-        stamps_.assign(words, words + stamps_.size());
-        clock_.assign(words + stamps_.size(),
-                      words + stamps_.size() + clock_.size());
-    }
-
   private:
     std::uint32_t ways_;
     std::vector<std::uint64_t> stamps_;
@@ -245,12 +237,6 @@ class TreePlruPolicy
         words.insert(words.end(), bits_.begin(), bits_.end());
     }
 
-    void
-    restoreStateWords(const std::uint64_t *words)
-    {
-        bits_.assign(words, words + bits_.size());
-    }
-
   private:
     std::uint32_t ways_;
     std::uint32_t levels_;
@@ -317,13 +303,6 @@ class SrripPolicy
         words.insert(words.end(), rrpv_.begin(), rrpv_.end());
     }
 
-    void
-    restoreStateWords(const std::uint64_t *words)
-    {
-        for (std::size_t i = 0; i < rrpv_.size(); ++i)
-            rrpv_[i] = static_cast<std::uint8_t>(words[i]);
-    }
-
   private:
     std::uint32_t ways_;
     std::vector<std::uint8_t> rrpv_;
@@ -372,13 +351,6 @@ class FifoPolicy
         words.insert(words.end(), hand_.begin(), hand_.end());
     }
 
-    void
-    restoreStateWords(const std::uint64_t *words)
-    {
-        for (std::size_t i = 0; i < hand_.size(); ++i)
-            hand_[i] = static_cast<std::uint32_t>(words[i]);
-    }
-
   private:
     std::uint32_t ways_;
     std::vector<std::uint32_t> hand_;
@@ -388,7 +360,7 @@ class FifoPolicy
  * Seeded random replacement: one SplitMix64 cursor per cache
  * instance, advanced only when a full set must choose a victim (cold
  * fills draw nothing, keeping warm-up deterministic across policies).
- * The cursor is part of the checkpoint state and reseeds on reset(),
+ * The cursor is part of the exported state and reseeds on reset(),
  * so runs are bit-identical for a given CacheConfig::policy_seed
  * regardless of --jobs (each simulation owns its cache instance).
  */
@@ -432,11 +404,6 @@ class RandomPolicy
     appendStateWords(std::vector<std::uint64_t> &words) const
     {
         words.push_back(state_);
-    }
-
-    void restoreStateWords(const std::uint64_t *words)
-    {
-        state_ = words[0];
     }
 
   private:

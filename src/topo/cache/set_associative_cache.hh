@@ -16,7 +16,6 @@
 
 #include "topo/cache/cache_config.hh"
 #include "topo/cache/replacement_policy.hh"
-#include "topo/util/error.hh"
 
 namespace topo
 {
@@ -152,8 +151,9 @@ class PolicyCache
     }
 
     /**
-     * Raw state for checkpointing (opaque): set-major tag words
-     * followed by the policy's replacement metadata.
+     * Raw state (opaque): set-major tag words followed by the
+     * policy's replacement metadata. Tests compare it across replay
+     * paths.
      */
     std::vector<std::uint64_t>
     stateWords() const
@@ -163,23 +163,6 @@ class PolicyCache
         words.insert(words.end(), tags_.begin(), tags_.end());
         policy_.appendStateWords(words);
         return words;
-    }
-
-    /**
-     * Restore state captured by stateWords() on an identically
-     * configured cache; throws TopoError on a size mismatch.
-     */
-    void
-    restoreStateWords(const std::vector<std::uint64_t> &words)
-    {
-        requireData(words.size() ==
-                        tags_.size() + policy_.stateWordCount(),
-                    "SetAssociativeCache: checkpoint state size "
-                    "mismatch (different cache geometry or policy?)");
-        tags_.assign(words.begin(),
-                     words.begin() +
-                         static_cast<std::ptrdiff_t>(tags_.size()));
-        policy_.restoreStateWords(words.data() + tags_.size());
     }
 
     /**

@@ -8,7 +8,6 @@
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
 #include "topo/obs/timeline.hh"
-#include "topo/resilience/fault.hh"
 #include "topo/util/arena.hh"
 #include "topo/util/error.hh"
 
@@ -29,23 +28,17 @@ thread_local util::Arena t_replay_arena;
 /** Emit a progress heartbeat every this many line fetches. */
 constexpr std::uint64_t kHeartbeatMask = (1ULL << 23) - 1; // ~8.4M
 
-/** Probe the throw_io fault stream every this many line fetches. */
-constexpr std::uint64_t kFaultMask = (1ULL << 12) - 1; // 4096
-
 /**
  * Shared replay loop; Cache is DirectMappedCache or a PolicyCache
  * instantiation, all exposing bool access(uint64). The
- * heartbeat, controlled (checkpoint/resume/fault), and observed
- * (attribution/timeline) variants are compiled separately so the
- * default path pays nothing for progress reporting, resilience hooks,
+ * heartbeat and observed (attribution/timeline) variants are compiled
+ * separately so the default path pays nothing for progress reporting
  * or observation sinks.
  */
-template <typename Cache, bool kHeartbeat, bool kControlled,
-          bool kObserved>
+template <typename Cache, bool kHeartbeat, bool kObserved>
 SimResult
 replay(const Program &program, const Layout &layout,
        const FetchStream &stream, Cache &cache, bool attribute,
-       const SimControl *control, std::uint64_t fingerprint,
        const SimObservers *observers)
 {
     // Precompute the placed address of every program line so the hot
@@ -79,58 +72,18 @@ replay(const Program &program, const Layout &layout,
     if (attribute)
         result.misses_by_proc.assign(program.procCount(), 0);
 
-    std::uint64_t start = 0;
-    if constexpr (kControlled) {
-        if (control != nullptr && control->resume != nullptr) {
-            const SimCheckpoint &ckpt = *control->resume;
-            require(ckpt.fingerprint == fingerprint,
-                    "resume: checkpoint was taken from a different "
-                    "run (inputs, layout, or cache geometry differ)");
-            require(ckpt.cursor <= stream.size(),
-                    "resume: checkpoint cursor beyond the stream");
-            cache.restoreStateWords(ckpt.cache_words);
-            result.misses = ckpt.misses;
-            if (attribute) {
-                requireData(ckpt.misses_by_proc.size() ==
-                                program.procCount(),
-                            "resume: checkpoint attribution does not "
-                            "match the program");
-                result.misses_by_proc = ckpt.misses_by_proc;
-            }
-            start = ckpt.cursor;
-            logInfo("simulate", "resumed from checkpoint",
-                    {{"cursor", start}, {"misses", result.misses}});
-        }
-    }
-
     const std::uint32_t *ids = stream.lineIds().data();
-    std::uint64_t cursor = start;
+    std::uint64_t cursor = 0;
     const std::uint64_t total = stream.size();
-    auto write_ckpt = [&](std::uint64_t at) {
-        SimCheckpoint ckpt;
-        ckpt.fingerprint = fingerprint;
-        ckpt.cursor = at;
-        ckpt.misses = result.misses;
-        ckpt.cache_words = cache.stateWords();
-        ckpt.misses_by_proc = result.misses_by_proc;
-        saveCheckpoint(control->checkpoint_path, ckpt);
-        MetricsRegistry::current()
-            .counter("sim.checkpoints_written")
-            .add();
-    };
-    (void)write_ckpt; // only invoked in the controlled instantiation
-    (void)observers;  // only read in the observed instantiation
-    if constexpr (!kHeartbeat && !kControlled && !kObserved) {
+    (void)observers; // only read in the observed instantiation
+    if constexpr (!kHeartbeat && !kObserved) {
         // Plain unattributed replay — the configuration every
         // placement-evaluation call hits — goes through the cache's
         // run-batched access loop (branchless on the direct-mapped
         // model), probing each run's consecutive line addresses from a
         // single table lookup and skipping cache-resident repeats
-        // outright. Uncontrolled replays never resume, so the batch
-        // always covers the entire stream.
+        // outright.
         if (!attribute) {
-            require(cursor == 0,
-                    "replay: batched fast path cannot resume");
             const std::uint32_t *const table = addr_of.data();
             const FetchRun *const runs = stream.runs().data();
             result.misses += cache.accessRunBatch(
@@ -188,31 +141,6 @@ replay(const Program &program, const Layout &layout,
                           {"misses", result.misses}});
             }
         }
-        if constexpr (kControlled) {
-            if (((cursor + 1) & kFaultMask) == 0)
-                faultMaybeThrowIo("simulate");
-            if (control != nullptr) {
-                if (control->checkpoint_every != 0 &&
-                    !control->checkpoint_path.empty() &&
-                    (cursor + 1 - start) % control->checkpoint_every ==
-                        0 &&
-                    cursor + 1 != total) {
-                    write_ckpt(cursor + 1);
-                }
-                if (control->stop_after != 0 &&
-                    cursor + 1 >= control->stop_after) {
-                    ++cursor;
-                    result.completed = false;
-                    break;
-                }
-            }
-        }
-    }
-    if constexpr (kControlled) {
-        if (!result.completed && control != nullptr &&
-            !control->checkpoint_path.empty()) {
-            write_ckpt(cursor);
-        }
     }
     result.accesses = cursor;
     // Caches start empty and lines never invalidate, so each miss
@@ -225,90 +153,41 @@ template <typename Cache>
 SimResult
 replayDispatch(const Program &program, const Layout &layout,
                const FetchStream &stream, Cache &cache, bool attribute,
-               const SimControl *control, std::uint64_t fingerprint,
                const SimObservers *observers)
 {
-    const bool controlled =
-        control != nullptr || faultArmed(FaultKind::kThrowIo);
     const bool heartbeat = logEnabled(LogLevel::kDebug);
-    const bool observed = observers != nullptr && observers->any();
-    if (observed) {
-        // Observers never combine with checkpoint/resume (enforced by
-        // simulateLayout), so the controlled variants are not needed
-        // here; a heartbeat variant keeps long attributed runs
-        // debuggable.
+    if (observers != nullptr && observers->any()) {
+        // A heartbeat variant keeps long attributed runs debuggable.
         if (heartbeat) {
-            return replay<Cache, true, false, true>(
-                program, layout, stream, cache, attribute, nullptr,
-                fingerprint, observers);
+            return replay<Cache, true, true>(program, layout, stream,
+                                             cache, attribute, observers);
         }
-        return replay<Cache, false, false, true>(
-            program, layout, stream, cache, attribute, nullptr,
-            fingerprint, observers);
-    }
-    if (controlled) {
-        if (heartbeat) {
-            return replay<Cache, true, true, false>(
-                program, layout, stream, cache, attribute, control,
-                fingerprint, nullptr);
-        }
-        return replay<Cache, false, true, false>(
-            program, layout, stream, cache, attribute, control,
-            fingerprint, nullptr);
+        return replay<Cache, false, true>(program, layout, stream, cache,
+                                          attribute, observers);
     }
     if (heartbeat) {
-        return replay<Cache, true, false, false>(
-            program, layout, stream, cache, attribute, nullptr,
-            fingerprint, nullptr);
+        return replay<Cache, true, false>(program, layout, stream, cache,
+                                          attribute, nullptr);
     }
-    return replay<Cache, false, false, false>(
-        program, layout, stream, cache, attribute, nullptr,
-        fingerprint, nullptr);
+    return replay<Cache, false, false>(program, layout, stream, cache,
+                                       attribute, nullptr);
 }
 
 } // namespace
 
-std::uint64_t
-simFingerprint(const Program &program, const Layout &layout,
-               const FetchStream &stream, const CacheConfig &config,
-               bool attribute)
-{
-    std::uint64_t fp = fingerprintMix(0, config.size_bytes);
-    fp = fingerprintMix(fp, config.line_bytes);
-    fp = fingerprintMix(fp, config.associativity);
-    fp = fingerprintMix(fp,
-                        static_cast<std::uint64_t>(config.policy));
-    fp = fingerprintMix(fp, config.policy_seed);
-    fp = fingerprintMix(fp, stream.size());
-    fp = fingerprintMix(fp, stream.lineBytes());
-    fp = fingerprintMix(fp, attribute ? 1 : 0);
-    fp = fingerprintMix(fp, program.procCount());
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        fp = fingerprintMix(fp, layout.address(static_cast<ProcId>(i)));
-    return fp;
-}
-
 SimResult
 simulateLayout(const Program &program, const Layout &layout,
                const FetchStream &stream, const CacheConfig &config,
-               bool attribute, const SimControl *control,
-               const SimObservers *observers)
+               bool attribute, const SimObservers *observers)
 {
     require(stream.lineBytes() == config.line_bytes,
             "simulateLayout: stream line size does not match cache config");
     const bool observed = observers != nullptr && observers->any();
-    require(!observed || control == nullptr,
-            "simulateLayout: attribution/timeline observers do not "
-            "combine with checkpoint/resume (observer state is not "
-            "checkpointed)");
-    const std::uint64_t fingerprint =
-        simFingerprint(program, layout, stream, config, attribute);
     PhaseTimer timer("simulate");
     SimResult result;
     auto run = [&](auto &cache) {
         result = replayDispatch(program, layout, stream, cache,
-                                attribute, control, fingerprint,
-                                observers);
+                                attribute, observers);
     };
     if (config.associativity == 1) {
         // One way leaves no replacement choice: every policy
@@ -381,7 +260,6 @@ simulateLayout(const Program &program, const Layout &layout,
                   {"misses", result.misses},
                   {"evictions", result.evictions},
                   {"miss_rate", result.missRate()},
-                  {"completed", result.completed},
                   {"ms", timer.elapsedMs()}});
     }
     return result;

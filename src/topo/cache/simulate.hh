@@ -6,24 +6,20 @@
  * given a layout (procedure base addresses) and the line-granularity
  * reference stream, count instruction-cache misses.
  *
- * Long replays (the paper's traces reach 146M blocks) can be
- * checkpointed and resumed bit-identically: a SimControl names a
- * checkpoint file and cadence, and a loaded SimCheckpoint restores
- * the cursor, counters, and raw cache state. Everything else the
- * replay consumes is re-derived from the tool's inputs and guarded by
- * a fingerprint.
+ * A replay is a pure function of its inputs and takes milliseconds
+ * per cell even at paper scale; the expensive, failure-prone work is
+ * upstream (profiling), so replays are simply rerun, never
+ * checkpointed.
  */
 
 #ifndef TOPO_CACHE_SIMULATE_HH
 #define TOPO_CACHE_SIMULATE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "topo/cache/cache_config.hh"
 #include "topo/program/layout.hh"
-#include "topo/resilience/checkpoint.hh"
 #include "topo/trace/fetch_stream.hh"
 
 namespace topo
@@ -36,16 +32,13 @@ class TimelineRecorder;
 /** Result of a cache simulation. */
 struct SimResult
 {
-    /** References accounted for (equals the cursor; the full stream
-     *  length when the run was not stopped early). */
+    /** References replayed (the full stream length). */
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
     /** Valid lines displaced by misses (cold fills excluded). */
     std::uint64_t evictions = 0;
     /** Per-procedure miss attribution (empty unless requested). */
     std::vector<std::uint64_t> misses_by_proc;
-    /** False when the replay stopped at SimControl::stop_after. */
-    bool completed = true;
 
     /** Miss rate in [0, 1]; 0 when there were no accesses. */
     double
@@ -61,9 +54,7 @@ struct SimResult
  * Optional observation sinks fed by the replay loop. Attaching any
  * sink selects a separate instrumented instantiation of the loop, so
  * the default (unobserved) path is byte-identical with or without
- * this feature compiled in. Observers do not compose with
- * checkpoint/resume: their state is not checkpointed, so a resumed
- * run would attribute only the tail.
+ * this feature compiled in.
  */
 struct SimObservers
 {
@@ -82,32 +73,6 @@ struct SimObservers
     }
 };
 
-/** Checkpoint/resume directives for one simulation. */
-struct SimControl
-{
-    /** Restore this state before replaying (fingerprint-checked). */
-    const SimCheckpoint *resume = nullptr;
-    /** Write checkpoints here; empty disables checkpointing. */
-    std::string checkpoint_path;
-    /** References between periodic checkpoints (0 = only at stop). */
-    std::uint64_t checkpoint_every = 0;
-    /**
-     * Stop after this absolute reference cursor, writing a final
-     * checkpoint (0 = run to the end of the stream). Models a
-     * preemption point for tests and operators.
-     */
-    std::uint64_t stop_after = 0;
-};
-
-/**
- * Fingerprint of everything that determines a replay: cache geometry,
- * layout base lines, stream length, and the attribution flag. Stored
- * in checkpoints so --resume refuses state from a different run.
- */
-std::uint64_t simFingerprint(const Program &program, const Layout &layout,
-                             const FetchStream &stream,
-                             const CacheConfig &config, bool attribute);
-
 /**
  * Simulate a fetch stream against a layout.
  *
@@ -118,14 +83,11 @@ std::uint64_t simFingerprint(const Program &program, const Layout &layout,
  *                      must match @p config.
  * @param config        Cache geometry (any associativity).
  * @param attribute     When true, fill SimResult::misses_by_proc.
- * @param control       Optional checkpoint/resume directives.
- * @param observers     Optional attribution/timeline sinks (mutually
- *                      exclusive with @p control).
+ * @param observers     Optional attribution/taxonomy/timeline sinks.
  */
 SimResult simulateLayout(const Program &program, const Layout &layout,
                          const FetchStream &stream, const CacheConfig &config,
                          bool attribute = false,
-                         const SimControl *control = nullptr,
                          const SimObservers *observers = nullptr);
 
 /**

@@ -142,7 +142,7 @@ attributeMissDelta(LayoutDiff &diff, const Program &program,
         observers.attribution = &sink;
         const SimResult sim = simulateLayout(program, *layouts[i],
                                              stream, cache, false,
-                                             nullptr, &observers);
+                                             &observers);
         out.accesses = sim.accesses;
         out.misses = sim.misses;
         out.misses_by_proc = sink.missesByProc();

@@ -112,7 +112,7 @@ buildComparisonReport(const Program &program, const FetchStream &stream,
             observers.timeline = &timeline;
             const SimResult sim =
                 simulateLayout(program, candidate.layout, stream,
-                               cache, false, nullptr, &observers);
+                               cache, false, &observers);
 
             LayoutReport &entry = out.entry;
             entry.label = candidate.label;

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <numeric>
 
+#include "topo/placement/cache_coloring.hh"
 #include "topo/placement/decision_log.hh"
+#include "topo/placement/gbsc.hh"
+#include "topo/placement/pettis_hansen.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
+#include "topo/util/string_utils.hh"
 
 namespace topo
 {
@@ -25,7 +29,56 @@ recordWholeLayout(const PlacementContext &ctx, const Layout &layout,
                                    ctx.heatOf(p), tie_break);
 }
 
+struct NamedPlacement
+{
+    const char *name;
+    const PlacementAlgorithm *algorithm;
+};
+
+/** The name -> algorithm table, in the paper's comparison order. */
+const std::vector<NamedPlacement> &
+placementTable()
+{
+    static const DefaultPlacement def;
+    static const PettisHansen ph;
+    static const CacheColoring hkc;
+    static const Gbsc gbsc;
+    static const std::vector<NamedPlacement> table = {
+        {"default", &def}, {"ph", &ph}, {"hkc", &hkc}, {"gbsc", &gbsc}};
+    return table;
+}
+
 } // namespace
+
+const std::vector<std::string> &
+placementNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const NamedPlacement &entry : placementTable())
+            out.emplace_back(entry.name);
+        return out;
+    }();
+    return names;
+}
+
+const PlacementAlgorithm &
+placementByName(const std::string &name)
+{
+    for (const NamedPlacement &entry : placementTable()) {
+        if (name == entry.name)
+            return *entry.algorithm;
+    }
+    // Names are 2-7 letters, so allow less slack than for options.
+    const std::string hint = closestMatch(name, placementNames(), 2);
+    std::string msg = "unknown placement algorithm '" + name + "'";
+    if (!hint.empty())
+        msg += " (did you mean '" + hint + "'?)";
+    msg += "; known:";
+    for (const std::string &known : placementNames())
+        msg += " " + known;
+    fail(msg);
+}
 
 void
 PlacementContext::requireBasics(const std::string &who) const

@@ -109,6 +109,20 @@ class RandomPlacement : public PlacementAlgorithm
 };
 
 /**
+ * Names of the paper's four compared algorithms, in table order:
+ * default, ph, hkc, gbsc. Every tool's --algorithm/--algorithms value
+ * and every store placement resolves through this one table.
+ */
+const std::vector<std::string> &placementNames();
+
+/**
+ * The algorithm registered under @p name (one of placementNames()).
+ * Throws a user-error TopoError listing the known names, with a
+ * did-you-mean hint for a near miss, on an unknown name.
+ */
+const PlacementAlgorithm &placementByName(const std::string &name);
+
+/**
  * Order procedure ids by descending heat (then ascending id). Shared
  * by several algorithms for placing leftover procedures.
  */

@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
- * guarding the v2 binary trace chunks and simulator checkpoints. A
+ * guarding the v2 binary trace chunks and the profile store. A
  * plain table-driven implementation: the payloads it covers are read
  * once per run, so portability beats hardware-assisted throughput
  * here, and the library gains no external dependency.

@@ -1,7 +1,6 @@
 /**
  * @file
- * Durable file primitives shared by the checkpoint writer and the
- * profile store: full-buffer writes with fault-injection hooks, fsync
+ * Durable file primitives of the profile store: full-buffer writes with fault-injection hooks, fsync
  * of files and directories, and the atomic-replace idiom done right.
  *
  * The classic atomic-replace bug is rename-without-parent-dir-fsync:

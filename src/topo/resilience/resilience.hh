@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "topo/resilience/checkpoint.hh"
 #include "topo/resilience/crc32.hh"
 #include "topo/resilience/fault.hh"
 #include "topo/util/options.hh"

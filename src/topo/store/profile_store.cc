@@ -14,20 +14,18 @@
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
 #include "topo/placement/decision_log.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement.hh"
 #include "topo/profile/chunk_map.hh"
 #include "topo/profile/pair_database.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
 #include "topo/sampling/sampled_profile.hh"
-#include "topo/resilience/checkpoint.hh"
 #include "topo/resilience/crc32.hh"
 #include "topo/resilience/durable_io.hh"
 #include "topo/resilience/fault.hh"
 #include "topo/trace/trace_stats.hh"
 #include "topo/util/error.hh"
+#include "topo/util/rng.hh"
 
 namespace topo
 {
@@ -107,25 +105,6 @@ parseSnapshot(const std::string &path, std::uint64_t store_id)
                 {{"file", path}, {"error", e.what()}});
     }
     return image;
-}
-
-const PlacementAlgorithm &
-algorithmByName(const std::string &name)
-{
-    static const DefaultPlacement def;
-    static const PettisHansen ph;
-    static const CacheColoring hkc;
-    static const Gbsc gbsc;
-    if (name == "gbsc")
-        return gbsc;
-    if (name == "ph")
-        return ph;
-    if (name == "hkc")
-        return hkc;
-    if (name == "default")
-        return def;
-    fail("unknown placement algorithm '" + name +
-         "' (use gbsc, ph, hkc, or default)");
 }
 
 Layout
@@ -340,7 +319,7 @@ placeProfile(const StoreConfig &config, const StoredProfile &profile,
         ctx.decisions = decisions;
     }
 
-    const PlacementAlgorithm &algo = algorithmByName(algorithm);
+    const PlacementAlgorithm &algo = placementByName(algorithm);
     result.layout = algo.place(ctx);
     result.layout.validate(config.program, config.cache.line_bytes);
     result.algorithm = algorithm;
@@ -579,6 +558,9 @@ StorePlaceResult
 ProfileStore::place(const std::string &algorithm, double threshold,
                     bool force, DecisionLog *decisions)
 {
+    // Resolve the name first: the retained-layout path below never
+    // touches the algorithm, so a misspelling would otherwise pass.
+    placementByName(algorithm);
     PhaseTimer timer("store.place");
     const double current_drift = drift();
     const bool never_placed = profile_.layout_algorithm.empty();

@@ -2,8 +2,8 @@
  * @file
  * Binary codec of the persistent profile store (DESIGN.md §12).
  *
- * Three on-disk artefacts share the little-endian, CRC-32-guarded
- * framing of the checkpoint format:
+ * Three on-disk artefacts share one little-endian, CRC-32-guarded
+ * framing:
  *
  *   store.meta      "TOPM" u32 crc u64 size payload
  *                   payload: version, store_id, config (cache

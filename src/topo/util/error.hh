@@ -14,7 +14,7 @@
  *   0  success
  *   1  user error (bad flags, missing files, inconsistent arguments)
  *   2  corrupt input (malformed/truncated trace, program, layout,
- *      checkpoint; CRC mismatch)
+ *      profile store; CRC mismatch)
  *   3  internal error (invariant violation, unexpected exception)
  */
 

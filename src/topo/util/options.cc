@@ -119,15 +119,7 @@ Options::rejectUnknown(const std::vector<std::string> &known) const
         }
         if (found)
             continue;
-        std::string hint;
-        std::size_t best = 4; // suggest only within edit distance 3
-        for (const std::string &k : known) {
-            const std::size_t d = editDistance(name, k);
-            if (d < best) {
-                best = d;
-                hint = k;
-            }
-        }
+        const std::string hint = closestMatch(name, known, 3);
         std::string msg = "unknown option '--" + name + "'";
         if (!hint.empty())
             msg += " (did you mean '--" + hint + "'?)";

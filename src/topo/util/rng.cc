@@ -10,7 +10,7 @@ namespace topo
 namespace
 {
 
-/** SplitMix64 step; used for seeding only. */
+/** SplitMix64 step; used for seeding and fingerprinting. */
 std::uint64_t
 splitMix64(std::uint64_t &x)
 {
@@ -28,6 +28,13 @@ rotl(std::uint64_t x, int k)
 }
 
 } // namespace
+
+std::uint64_t
+fingerprintMix(std::uint64_t acc, std::uint64_t value)
+{
+    std::uint64_t state = acc + value;
+    return splitMix64(state);
+}
 
 Rng::Rng(std::uint64_t seed)
     : seed_(seed)

@@ -93,6 +93,13 @@ class Rng
     std::uint64_t seed_;
 };
 
+/**
+ * Mix one value into a running fingerprint: one SplitMix64 step from
+ * state acc + value. Start from 0 and fold in every quantity the
+ * fingerprint should cover. Pinned by known vectors in util_test.
+ */
+std::uint64_t fingerprintMix(std::uint64_t acc, std::uint64_t value);
+
 } // namespace topo
 
 #endif // TOPO_UTIL_RNG_HH

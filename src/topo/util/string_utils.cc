@@ -95,4 +95,21 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
+std::string
+closestMatch(const std::string &text,
+             const std::vector<std::string> &candidates,
+             std::size_t max_distance)
+{
+    std::string best;
+    std::size_t best_distance = max_distance + 1;
+    for (const std::string &candidate : candidates) {
+        const std::size_t d = editDistance(text, candidate);
+        if (d < best_distance) {
+            best_distance = d;
+            best = candidate;
+        }
+    }
+    return best;
+}
+
 } // namespace topo

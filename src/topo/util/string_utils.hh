@@ -34,6 +34,15 @@ double parseDouble(const std::string &text, const std::string &what);
  */
 std::size_t editDistance(const std::string &a, const std::string &b);
 
+/**
+ * The first of @p candidates nearest to @p text by editDistance, or
+ * "" when none is within @p max_distance. Backs the "did you mean"
+ * hints on unknown options and algorithm names.
+ */
+std::string closestMatch(const std::string &text,
+                         const std::vector<std::string> &candidates,
+                         std::size_t max_distance);
+
 } // namespace topo
 
 #endif // TOPO_UTIL_STRING_UTILS_HH

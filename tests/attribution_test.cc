@@ -140,8 +140,7 @@ TEST(AttributionTest, HandComputedConflictMatrix)
     SimObservers observers;
     observers.attribution = &sink;
     const SimResult result = simulateLayout(
-        fx.program, fx.layout, stream, fx.cache, false, nullptr,
-        &observers);
+        fx.program, fx.layout, stream, fx.cache, false, &observers);
 
     // A,B,A,B,... on one frame: every access misses. The first A is a
     // cold fill; every later access evicts the other procedure.
@@ -195,8 +194,7 @@ TEST(AttributionTest, TwoWayCacheAbsorbsTheConflict)
     SimObservers observers;
     observers.attribution = &sink2;
     const SimResult result = simulateLayout(
-        fx.program, fx.layout, stream, two_way, false, nullptr,
-        &observers);
+        fx.program, fx.layout, stream, two_way, false, &observers);
 
     // Both lines fit the shared set: only the two cold misses, no
     // valid-line evictions, an empty conflict matrix.
@@ -217,7 +215,7 @@ TEST(AttributionTest, PairBudgetBoundsTheMatrix)
     SimObservers observers;
     observers.attribution = &sink;
     simulateLayout(fx.program, fx.layout, stream, fx.cache, false,
-                   nullptr, &observers);
+                   &observers);
 
     // Only the first pair (B evicts A) fits the budget; the reverse
     // pair's evictions are counted as dropped, not lost silently.
@@ -241,8 +239,7 @@ TEST(AttributionTest, DisabledSinkLeavesResultsIdentical)
     observers.attribution = &sink;
     observers.timeline = &timeline;
     const SimResult observed = simulateLayout(
-        fx.program, fx.layout, stream, fx.cache, true, nullptr,
-        &observers);
+        fx.program, fx.layout, stream, fx.cache, true, &observers);
 
     EXPECT_EQ(plain.accesses, observed.accesses);
     EXPECT_EQ(plain.misses, observed.misses);
@@ -273,7 +270,7 @@ TEST(AttributionTest, HotLoopIsAllocationFree)
         const std::uint64_t before =
             g_allocs.load(std::memory_order_relaxed);
         simulateLayout(fx.program, fx.layout, stream, fx.cache, false,
-                       nullptr, &observers);
+                       &observers);
         return g_allocs.load(std::memory_order_relaxed) - before;
     };
 
@@ -360,22 +357,6 @@ TEST(ReportGenTest, ComparisonReportNamesWinnersAndPairs)
                   .at("label")
                   .asString(),
               "overlapped");
-}
-
-TEST(AttributionTest, ObserversRejectCheckpointControl)
-{
-    const ConflictFixture fx;
-    const Trace trace = fx.alternating(5);
-    const FetchStream stream(fx.program, trace, 32);
-    AttributionSink sink(fx.program, fx.layout, fx.cache, 32);
-    SimObservers observers;
-    observers.attribution = &sink;
-    SimControl control;
-    control.checkpoint_path = "/tmp/unused.ckpt";
-    control.checkpoint_every = 1;
-    EXPECT_THROW(simulateLayout(fx.program, fx.layout, stream, fx.cache,
-                                false, &control, &observers),
-                 TopoError);
 }
 
 } // namespace

@@ -182,52 +182,36 @@ set -e
 [ "$rc" = "2" ] || {
     echo "FAIL: bit-flipped trace exited $rc, want 2"; exit 1; }
 
-# Checkpoint/resume: an interrupted run resumed from its checkpoint
-# must report exactly the miss count of the uninterrupted run.
-"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
-    --trace="$WORK/m.btrace" > "$WORK/whole.txt" 2> /dev/null
-"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
-    --trace="$WORK/m.btrace" --checkpoint="$WORK/sim.ckpt" \
-    --checkpoint-every=1000 --stop-after=12345 > "$WORK/part.txt" \
-    2> /dev/null
-grep -q "interrupted at 12345" "$WORK/part.txt" || {
-    echo "FAIL: interrupted run printed no resume hint"; exit 1; }
-"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
-    --trace="$WORK/m.btrace" --resume="$WORK/sim.ckpt" \
-    > "$WORK/resumed.txt" 2> /dev/null
-whole_misses=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' "$WORK/whole.txt")
-resumed_misses=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' \
-    "$WORK/resumed.txt")
-[ -n "$whole_misses" ] && [ "$whole_misses" = "$resumed_misses" ] || {
-    echo "FAIL: resume gave $resumed_misses misses, want $whole_misses"
-    exit 1; }
-
-# The in-process --benchmark pipeline checkpoints and resumes the
-# same way: interrupted + resumed must equal uninterrupted.
-"$TOOLS_DIR/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
-    > "$WORK/bwhole.txt" 2> /dev/null
-"$TOOLS_DIR/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
-    --checkpoint="$WORK/bench.ckpt" --stop-after=7777 > /dev/null \
-    2> /dev/null
-"$TOOLS_DIR/topo_sim" --benchmark=m88ksim --trace-scale=0.02 \
-    --resume="$WORK/bench.ckpt" > "$WORK/bresumed.txt" 2> /dev/null
-bwhole=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' "$WORK/bwhole.txt")
-bresumed=$(sed -n 's/^misses: *\([0-9]*\)/\1/p' "$WORK/bresumed.txt")
-[ -n "$bwhole" ] && [ "$bwhole" = "$bresumed" ] || {
-    echo "FAIL: benchmark resume gave $bresumed misses, want $bwhole"
-    exit 1; }
-
-# A corrupted checkpoint must be refused as corrupt input.
-"$TOOLS_DIR/topo_corrupt" --in="$WORK/sim.ckpt" \
-    --out="$WORK/bad.ckpt" --bitflip=20 --flip-bit=3 2> /dev/null
-set +e
-"$TOOLS_DIR/topo_sim" --program="$WORK/m.prog" \
-    --trace="$WORK/m.btrace" --resume="$WORK/bad.ckpt" \
+# A misspelled algorithm is a user error (exit 1) with one message and
+# a spelling hint, whichever tool resolves the name. The store must
+# reject it even when the drift gate would retain the current layout.
+"$TOOLS_DIR/topo_profile" init --store="$WORK/store" \
+    --program="$WORK/m.prog" > /dev/null 2>&1
+"$TOOLS_DIR/topo_profile" ingest --store="$WORK/store" \
+    --trace="$WORK/m.trace" > /dev/null 2>&1
+"$TOOLS_DIR/topo_profile" place --store="$WORK/store" --algorithm=gbsc \
     > /dev/null 2>&1
-rc=$?
-set -e
-[ "$rc" = "2" ] || {
-    echo "FAIL: corrupt checkpoint exited $rc, want 2"; exit 1; }
+want="unknown placement algorithm 'gbcs' (did you mean 'gbsc'?)"
+for tool in sim report place profile; do
+    set +e
+    case $tool in
+      sim) "$TOOLS_DIR/topo_sim" --benchmark=m88ksim \
+               --trace-scale=0.02 --algorithm=gbcs ;;
+      report) "$TOOLS_DIR/topo_report" --microsuite --algorithms=gbcs ;;
+      place) "$TOOLS_DIR/topo_place" --program="$WORK/m.prog" \
+                 --trace="$WORK/m.trace" --algorithm=gbcs ;;
+      profile) "$TOOLS_DIR/topo_profile" place --store="$WORK/store" \
+                   --algorithm=gbcs --replace-threshold=1e9 ;;
+    esac > /dev/null 2> "$WORK/misspelled.log"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: topo_$tool --algorithm=gbcs exited $rc, want 1"
+        exit 1; }
+    grep -qF "topo_$tool: error: $want" "$WORK/misspelled.log" || {
+        echo "FAIL: topo_$tool gave an unexpected misspelling error:"
+        cat "$WORK/misspelled.log"; exit 1; }
+done
 
 # --- Explainability workflow ---------------------------------------
 
@@ -285,5 +269,4 @@ do
         exit 1; }
 done
 
-echo "PASS: cli workflow (default $def_mr% -> gbsc $gbsc_mr%," \
-    "resume $resumed_misses misses)"
+echo "PASS: cli workflow (default $def_mr% -> gbsc $gbsc_mr%)"

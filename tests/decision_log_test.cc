@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -27,6 +26,8 @@
 #include "topo/placement/splitting.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/paper_suite.hh"
+
+#include "scoped_temp_dir.hh"
 
 namespace
 {
@@ -261,14 +262,14 @@ TEST_F(DecisionCoverage, JsonRoundTripThroughDecisionFile)
     ctx.decisions = &log;
     gbsc.place(ctx);
 
-    const std::string path = "/tmp/topo_decision_log_test.json";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("decision_log_test.json");
     {
         std::ofstream os(path);
         log.toJson(bundle().program()).write(os);
         os << "\n";
     }
     const LoadedDecisions loaded = readDecisionFile(path);
-    std::remove(path.c_str());
     EXPECT_EQ(loaded.algorithm, "gbsc");
     EXPECT_EQ(loaded.kept, log.kept());
     EXPECT_EQ(loaded.dropped, log.dropped());
@@ -299,7 +300,8 @@ TEST_F(DecisionCoverage, JsonRoundTripThroughDecisionFile)
 
 TEST(DecisionLogErrors, CorruptDecisionFilesCarryTheCorruptCode)
 {
-    const std::string path = "/tmp/topo_decision_log_corrupt.json";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("decision_log_corrupt.json");
     const char *bodies[] = {
         "{ not json",
         "{\"kept\": 1}",
@@ -323,7 +325,6 @@ TEST(DecisionLogErrors, CorruptDecisionFilesCarryTheCorruptCode)
             EXPECT_EQ(err.code(), ErrCode::kCorrupt) << body;
         }
     }
-    std::remove(path.c_str());
 }
 
 TEST(DecisionSplitting, SplitClassificationIsRecorded)

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -35,6 +34,8 @@
 #include "topo/profile/wcg_builder.hh"
 #include "topo/workload/paper_suite.hh"
 #include "topo/workload/trace_synthesizer.hh"
+
+#include "scoped_temp_dir.hh"
 
 namespace topo
 {
@@ -270,7 +271,8 @@ TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
     const BenchmarkCase bench = paperBenchmark("gcc", 0.01);
     const Program &program = bench.model.program;
     const Trace original = synthesizeTrace(bench.model, bench.train);
-    const std::string path = "/tmp/topo_determinism_mmap.tpb";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("determinism_mmap.tpb");
     saveBinaryTrace(path, original);
     TraceReadOptions mapped_opts;
     mapped_opts.mmap = TraceMmapMode::kOn;
@@ -278,7 +280,6 @@ TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
     stream_opts.mmap = TraceMmapMode::kOff;
     const Trace mapped = loadBinaryTrace(path, mapped_opts);
     const Trace streamed = loadBinaryTrace(path, stream_opts);
-    std::remove(path.c_str());
     ASSERT_EQ(mapped.size(), original.size());
     ASSERT_EQ(streamed.size(), original.size());
 

@@ -6,13 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "topo/program/layout_io.hh"
 #include "topo/program/program_io.hh"
 #include "topo/util/error.hh"
+
+#include "scoped_temp_dir.hh"
 
 namespace topo
 {
@@ -74,11 +75,11 @@ TEST(ProgramIo, RejectsMalformedInput)
 TEST(ProgramIo, FileRoundTrip)
 {
     const Program p = sampleProgram();
-    const std::string path = "/tmp/topo_program_io_test.prog";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("program_io_test.prog");
     saveProgram(path, p);
     const Program back = loadProgram(path);
     EXPECT_EQ(back.procCount(), p.procCount());
-    std::remove(path.c_str());
     EXPECT_THROW(loadProgram("/nonexistent/nope.prog"), TopoError);
 }
 
@@ -179,11 +180,11 @@ TEST(LayoutIo, FileRoundTripWithProvenance)
     LayoutProvenance prov;
     prov.algorithm = "hkc";
     prov.git_sha = "feedbead";
-    const std::string path = "/tmp/topo_layout_io_v2_test.layout";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("layout_io_v2_test.layout");
     saveLayout(path, p, layout, prov);
     LayoutProvenance back_prov;
     const Layout back = loadLayout(path, p, &back_prov);
-    std::remove(path.c_str());
     EXPECT_EQ(back_prov.algorithm, "hkc");
     EXPECT_EQ(back_prov.git_sha, "feedbead");
     for (ProcId i = 0; i < p.procCount(); ++i)

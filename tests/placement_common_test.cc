@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for popularity selection, the gap filler, and the baseline
- * placements.
+ * Tests for popularity selection, the gap filler, the baseline
+ * placements, and the name -> algorithm table.
  */
 
 #include <gtest/gtest.h>
@@ -182,6 +182,31 @@ TEST(PlacementContext, HelpersAndChecks)
 
     PlacementContext broken;
     EXPECT_THROW(broken.requireBasics("test"), TopoError);
+}
+
+TEST(PlacementTable, NamesResolveInPaperOrder)
+{
+    EXPECT_EQ(placementNames(),
+              (std::vector<std::string>{"default", "ph", "hkc", "gbsc"}));
+    const std::vector<std::string> display = {"default", "PH", "HKC",
+                                              "GBSC"};
+    for (std::size_t i = 0; i < display.size(); ++i) {
+        EXPECT_EQ(placementByName(placementNames()[i]).name(),
+                  display[i]);
+    }
+}
+
+TEST(PlacementTable, UnknownNameIsAUserErrorWithAHint)
+{
+    try {
+        placementByName("gbcs");
+        FAIL() << "a misspelled algorithm was accepted";
+    } catch (const TopoError &err) {
+        EXPECT_EQ(err.code(), ErrCode::kUser);
+        EXPECT_NE(std::string(err.what()).find("did you mean 'gbsc'"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 } // namespace

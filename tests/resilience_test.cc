@@ -1,29 +1,27 @@
 /**
  * @file
  * Tests for the resilience layer: CRC32, fault-plan determinism, the
- * hardened v2 trace format (exhaustive truncation salvage), checkpoint
- * persistence, checkpoint/resume bit-equality, and the unknown-option
- * rejection that backs the stable CLI exit codes.
+ * hardened v2 trace format (exhaustive truncation salvage), and the
+ * unknown-option rejection that backs the stable CLI exit codes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
 
-#include "topo/cache/simulate.hh"
 #include "topo/obs/log.hh"
 #include "topo/resilience/resilience.hh"
-#include "topo/trace/fetch_stream.hh"
 #include "topo/trace/trace_binary.hh"
 #include "topo/trace/trace_io.hh"
 #include "topo/trace/trace_mmap.hh"
 #include "topo/util/error.hh"
 #include "topo/util/options.hh"
 #include "topo/util/rng.hh"
+
+#include "scoped_temp_dir.hh"
 
 namespace topo
 {
@@ -315,7 +313,8 @@ TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
     std::stringstream ss;
     writeBinaryTrace(ss, trace, wopts);
     const std::string clean = ss.str();
-    const std::string path = "/tmp/topo_resilience_mmap_cut.tpb";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("cut.tpb");
 
     for (std::size_t keep = 8; keep < clean.size();
          keep += 1 + keep / 8) {
@@ -367,7 +366,6 @@ TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
                   kRuns)
             << "cut " << keep;
     }
-    std::remove(path.c_str());
 }
 
 TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
@@ -380,7 +378,8 @@ TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const Trace trace = randomTrace(8, 200, 13);
-    const std::string path = "/tmp/topo_resilience_mmap_fault.tpb";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("fault.tpb");
     saveBinaryTrace(path, trace);
 
     FaultPlan plan;
@@ -404,7 +403,6 @@ TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(back.events()[i], trace.events()[i]);
-    std::remove(path.c_str());
 }
 
 TEST(TextTrace, RecoverSalvagesTheValidLinePrefix)
@@ -428,140 +426,6 @@ TEST(TextTrace, RecoverSalvagesTheValidLinePrefix)
     EXPECT_TRUE(report.recovered);
     EXPECT_EQ(report.records_recovered, 2u);
     EXPECT_EQ(report.records_dropped, 2u); // bad line + everything after
-}
-
-TEST(Checkpoint, FileRoundTripAndCorruptionDetection)
-{
-    SimCheckpoint ckpt;
-    ckpt.fingerprint = 0xFEEDFACE12345678ULL;
-    ckpt.cursor = 123456;
-    ckpt.misses = 789;
-    ckpt.cache_words = {1, 2, 3, 0xFFFFFFFFFFFFFFFFULL};
-    ckpt.misses_by_proc = {4, 5, 6};
-    const std::string path = "/tmp/topo_resilience_ckpt_test.bin";
-    saveCheckpoint(path, ckpt);
-    const SimCheckpoint back = loadCheckpoint(path);
-    EXPECT_EQ(back.fingerprint, ckpt.fingerprint);
-    EXPECT_EQ(back.cursor, ckpt.cursor);
-    EXPECT_EQ(back.misses, ckpt.misses);
-    EXPECT_EQ(back.cache_words, ckpt.cache_words);
-    EXPECT_EQ(back.misses_by_proc, ckpt.misses_by_proc);
-
-    // A flipped payload byte must be caught by the CRC.
-    {
-        std::ifstream is(path, std::ios::binary);
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        std::string bytes = buf.str();
-        bytes[bytes.size() - 3] =
-            static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_EQ(codeOf([&] { loadCheckpoint(path); }), ErrCode::kCorrupt);
-    std::remove(path.c_str());
-    EXPECT_EQ(codeOf([&] { loadCheckpoint(path); }), ErrCode::kUser);
-}
-
-/** Pipeline fixture shared by the resume tests. */
-struct SimFixture
-{
-    Program program{"resilience"};
-    Trace trace{0};
-    CacheConfig cache;
-
-    explicit SimFixture(std::uint32_t assoc)
-    {
-        for (int i = 0; i < 24; ++i) {
-            program.addProcedure("p" + std::to_string(i),
-                                 200 + 64 * (i % 7));
-        }
-        // Runs must stay inside their procedure for FetchStream.
-        trace = Trace(24);
-        Rng rng(31);
-        for (int i = 0; i < 20000; ++i) {
-            const ProcId proc = static_cast<ProcId>(rng.nextBelow(24));
-            const std::uint32_t size = program.proc(proc).size_bytes;
-            const std::uint32_t offset =
-                static_cast<std::uint32_t>(rng.nextBelow(size));
-            const std::uint32_t length =
-                1 + static_cast<std::uint32_t>(
-                        rng.nextBelow(size - offset));
-            trace.append(proc, offset, length);
-        }
-        cache.size_bytes = 2048;
-        cache.line_bytes = 32;
-        cache.associativity = assoc;
-    }
-};
-
-void
-expectResumeBitEquality(std::uint32_t assoc)
-{
-    const SimFixture fix(assoc);
-    const Layout layout =
-        Layout::defaultOrder(fix.program, fix.cache.line_bytes);
-    const FetchStream stream(fix.program, fix.trace,
-                             fix.cache.line_bytes);
-    const SimResult whole = simulateLayout(fix.program, layout, stream,
-                                           fix.cache, true);
-    ASSERT_TRUE(whole.completed);
-
-    const std::string path = "/tmp/topo_resilience_resume_test.bin";
-    // Interrupt at several points, including mid-checkpoint cadences.
-    for (const std::uint64_t stop : {1ULL, 777ULL, 9999ULL}) {
-        SimControl first;
-        first.checkpoint_path = path;
-        first.checkpoint_every = 500;
-        first.stop_after = stop;
-        const SimResult partial = simulateLayout(
-            fix.program, layout, stream, fix.cache, true, &first);
-        EXPECT_FALSE(partial.completed);
-        EXPECT_EQ(partial.accesses, stop);
-
-        const SimCheckpoint ckpt = loadCheckpoint(path);
-        EXPECT_EQ(ckpt.cursor, stop);
-        SimControl second;
-        second.resume = &ckpt;
-        const SimResult resumed = simulateLayout(
-            fix.program, layout, stream, fix.cache, true, &second);
-        EXPECT_TRUE(resumed.completed);
-        EXPECT_EQ(resumed.accesses, whole.accesses) << "stop " << stop;
-        EXPECT_EQ(resumed.misses, whole.misses) << "stop " << stop;
-        EXPECT_EQ(resumed.misses_by_proc, whole.misses_by_proc)
-            << "stop " << stop;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, BitIdenticalDirectMapped)
-{
-    expectResumeBitEquality(1);
-}
-
-TEST(CheckpointResume, BitIdenticalSetAssociative)
-{
-    expectResumeBitEquality(4);
-}
-
-TEST(CheckpointResume, RefusesForeignCheckpoints)
-{
-    const SimFixture fix(1);
-    const Layout layout =
-        Layout::defaultOrder(fix.program, fix.cache.line_bytes);
-    const FetchStream stream(fix.program, fix.trace,
-                             fix.cache.line_bytes);
-    SimCheckpoint ckpt;
-    ckpt.fingerprint = 0xBAD; // matches no real run
-    ckpt.cursor = 10;
-    SimControl control;
-    control.resume = &ckpt;
-    EXPECT_EQ(codeOf([&] {
-                  simulateLayout(fix.program, layout, stream, fix.cache,
-                                 false, &control);
-              }),
-              ErrCode::kUser);
 }
 
 TEST(Options, RejectsUnknownWithDidYouMeanHint)

@@ -27,19 +27,12 @@
 #include "topo/util/error.hh"
 #include "topo/workload/microsuite.hh"
 
+#include "scoped_temp_dir.hh"
+
 namespace topo
 {
 namespace
 {
-
-/** Fresh temp directory for one test. */
-std::string
-tempDir(const std::string &name)
-{
-    const std::string dir = "/tmp/topo_store_test_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 /** Store config over the phase_flip microsuite case. */
 StoreConfig
@@ -129,11 +122,14 @@ class StoreTest : public ::testing::Test
         clearFaultPlan();
         clearCrashPoint();
     }
+
+    /** Private directory holding this test's stores. */
+    const ScopedTempDir tmp;
 };
 
 TEST_F(StoreTest, ReopenEqualsFreshFoldBitExactly)
 {
-    const std::string dir = tempDir("reopen_fold");
+    const std::string dir = tmp.file("reopen_fold");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -157,7 +153,7 @@ TEST_F(StoreTest, ReopenEqualsFreshFoldBitExactly)
 
 TEST_F(StoreTest, PlacementFromReopenedStoreEqualsFreshPlacement)
 {
-    const std::string dir = tempDir("place_equality");
+    const std::string dir = tmp.file("place_equality");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -223,8 +219,7 @@ TEST_F(StoreTest, IngestCrashMatrixYieldsPreOrPostExactly)
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     for (const Row &row : rows) {
-        const std::string dir =
-            tempDir(std::string("crash_") + row.site);
+        const std::string dir = tmp.file(std::string("crash_") + row.site);
         ProfileStore::init(dir, config);
         {
             ProfileStore store = ProfileStore::open(dir);
@@ -273,7 +268,7 @@ TEST_F(StoreTest, CompactionCrashSitesPreserveTheState)
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     for (const char *site : sites) {
-        const std::string dir = tempDir(std::string("compact_") + site);
+        const std::string dir = tmp.file(std::string("compact_") + site);
         ProfileStore::init(dir, config);
         {
             ProfileStore store = ProfileStore::open(dir);
@@ -301,7 +296,7 @@ TEST_F(StoreTest, CompactionCrashSitesPreserveTheState)
 
 TEST_F(StoreTest, TornJournalTailIsDroppedAndOverwritten)
 {
-    const std::string dir = tempDir("torn_tail");
+    const std::string dir = tmp.file("torn_tail");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -334,7 +329,7 @@ TEST_F(StoreTest, TornJournalTailIsDroppedAndOverwritten)
 
 TEST_F(StoreTest, CorruptNewestSnapshotSalvagesLosslessly)
 {
-    const std::string dir = tempDir("salvage");
+    const std::string dir = tmp.file("salvage");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -366,7 +361,7 @@ TEST_F(StoreTest, CorruptNewestSnapshotSalvagesLosslessly)
 
 TEST_F(StoreTest, DroppedMiddleRecordEndsTheValidPrefix)
 {
-    const std::string dir = tempDir("seq_gap");
+    const std::string dir = tmp.file("seq_gap");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -400,7 +395,7 @@ TEST_F(StoreTest, DroppedMiddleRecordEndsTheValidPrefix)
 
 TEST_F(StoreTest, WriteShortFaultLeavesPreStateAndRetries)
 {
-    const std::string dir = tempDir("write_short");
+    const std::string dir = tmp.file("write_short");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -429,7 +424,7 @@ TEST_F(StoreTest, WriteShortFaultLeavesPreStateAndRetries)
 
 TEST_F(StoreTest, DriftGatesIncrementalReplacement)
 {
-    const std::string dir = tempDir("drift");
+    const std::string dir = tmp.file("drift");
     const StoreConfig config = microConfig();
     const std::vector<ShardDelta> deltas = microDeltas(config);
     ProfileStore::init(dir, config);
@@ -460,9 +455,31 @@ TEST_F(StoreTest, DriftGatesIncrementalReplacement)
     EXPECT_EQ(store.drift(), 0.0);
 }
 
+TEST_F(StoreTest, MisspelledAlgorithmIsRejectedEvenWhenRetaining)
+{
+    const std::string dir = tmp.file("misspelled");
+    const StoreConfig config = microConfig();
+    const std::vector<ShardDelta> deltas = microDeltas(config);
+    ProfileStore::init(dir, config);
+    ProfileStore store = ProfileStore::open(dir);
+    store.ingest(deltas[0]);
+    ASSERT_TRUE(store.place("gbsc", 1e9).placed);
+    const std::uint64_t applied = store.appliedSeq();
+
+    // Zero drift under a huge threshold would retain the layout, but
+    // the name is checked before the drift gate.
+    try {
+        store.place("gbcs", 1e9);
+        FAIL() << "a misspelled algorithm was accepted";
+    } catch (const TopoError &err) {
+        EXPECT_EQ(err.code(), ErrCode::kUser);
+    }
+    EXPECT_EQ(store.appliedSeq(), applied);
+}
+
 TEST_F(StoreTest, AtomicReplaceFsyncsTheParentDirectory)
 {
-    const std::string dir = tempDir("dir_fsync");
+    const std::string dir = tmp.file("dir_fsync");
     const StoreConfig config = microConfig();
     Counter &dir_fsyncs =
         MetricsRegistry::global().counter("store.dir_fsyncs");

@@ -141,8 +141,7 @@ TEST(TaxonomyTest, PureConflictPingPong)
     SimObservers observers;
     observers.taxonomy = &sink;
     const SimResult result = simulateLayout(
-        fx.program, fx.layout, stream, fx.cache, false, nullptr,
-        &observers);
+        fx.program, fx.layout, stream, fx.cache, false, &observers);
 
     // Both lines fit a 2-line fully-associative cache (stack distance
     // is always 1), so beyond the two first touches every miss is the
@@ -186,8 +185,7 @@ TEST(TaxonomyTest, TwoWayCacheAbsorbsTheConflict)
     SimObservers observers;
     observers.taxonomy = &sink;
     const SimResult result = simulateLayout(
-        fx.program, fx.layout, stream, two_way, false, nullptr,
-        &observers);
+        fx.program, fx.layout, stream, two_way, false, &observers);
 
     // The shared set holds both lines: only the two first touches
     // miss, and first touches are compulsory by definition.
@@ -219,7 +217,7 @@ TEST(TaxonomyTest, PureCapacityStreamingLoop)
     SimObservers observers;
     observers.taxonomy = &sink;
     const SimResult result = simulateLayout(
-        program, layout, stream, cache, false, nullptr, &observers);
+        program, layout, stream, cache, false, &observers);
 
     EXPECT_EQ(result.accesses, 4u * kSweeps);
     EXPECT_EQ(result.misses, 4u * kSweeps);
@@ -250,7 +248,7 @@ TEST(TaxonomyTest, AllCompulsoryColdRun)
     SimObservers observers;
     observers.taxonomy = &sink;
     const SimResult result = simulateLayout(
-        program, layout, stream, cache, false, nullptr, &observers);
+        program, layout, stream, cache, false, &observers);
 
     EXPECT_EQ(result.misses, 8u);
     EXPECT_EQ(sink.compulsory(), 8u);
@@ -395,8 +393,7 @@ TEST(TaxonomyTest, DisabledObserverLeavesResultsIdentical)
     observers.taxonomy = &sink;
     observers.timeline = &timeline;
     const SimResult observed = simulateLayout(
-        fx.program, fx.layout, stream, fx.cache, true, nullptr,
-        &observers);
+        fx.program, fx.layout, stream, fx.cache, true, &observers);
 
     EXPECT_EQ(plain.accesses, observed.accesses);
     EXPECT_EQ(plain.misses, observed.misses);
@@ -417,7 +414,7 @@ TEST(TaxonomyTest, PerWindowInvariantsHold)
     observers.taxonomy = &sink;
     observers.timeline = &timeline;
     simulateLayout(fx.program, fx.layout, stream, fx.cache, false,
-                   nullptr, &observers);
+                   &observers);
 
     EXPECT_TRUE(timeline.taxonomyArmed());
     std::uint64_t total_compulsory = 0, total_capacity = 0,
@@ -467,7 +464,7 @@ TEST(TaxonomyTest, HotLoopIsAllocationFree)
         const std::uint64_t before =
             g_allocs.load(std::memory_order_relaxed);
         simulateLayout(fx.program, fx.layout, stream, fx.cache, false,
-                       nullptr, &observers);
+                       &observers);
         return g_allocs.load(std::memory_order_relaxed) - before;
     };
 
@@ -478,22 +475,6 @@ TEST(TaxonomyTest, HotLoopIsAllocationFree)
     const std::uint64_t small_allocs = count_allocs(small_stream);
     const std::uint64_t big_allocs = count_allocs(big_stream);
     EXPECT_LE(big_allocs, small_allocs + 32);
-}
-
-TEST(TaxonomyTest, ObserverRejectsCheckpointControl)
-{
-    const PingPongFixture fx;
-    const Trace trace = fx.alternating(5);
-    const FetchStream stream(fx.program, trace, 32);
-    TaxonomySink sink(fx.program, stream.programLineCount(), fx.cache);
-    SimObservers observers;
-    observers.taxonomy = &sink;
-    SimControl control;
-    control.checkpoint_path = "/tmp/unused.ckpt";
-    control.checkpoint_every = 1;
-    EXPECT_THROW(simulateLayout(fx.program, fx.layout, stream, fx.cache,
-                                false, &control, &observers),
-                 TopoError);
 }
 
 TEST(TaxonomyReportTest, ComparisonReportSplitsConflictFromCapacity)

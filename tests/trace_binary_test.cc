@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -17,6 +16,8 @@
 #include "topo/trace/trace_mmap.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
+
+#include "scoped_temp_dir.hh"
 
 namespace topo
 {
@@ -112,8 +113,9 @@ TEST(BinaryTrace, DetectsCorruption)
 TEST(BinaryTrace, FileRoundTripAndAutoDetect)
 {
     const Trace trace = randomTrace(20, 1000, 4);
-    const std::string bin_path = "/tmp/topo_trace_binary_test.tpb";
-    const std::string txt_path = "/tmp/topo_trace_binary_test.txt";
+    const ScopedTempDir tmp;
+    const std::string bin_path = tmp.file("trace_binary_test.tpb");
+    const std::string txt_path = tmp.file("trace_binary_test.txt");
     saveBinaryTrace(bin_path, trace);
     saveTrace(txt_path, trace);
 
@@ -125,8 +127,6 @@ TEST(BinaryTrace, FileRoundTripAndAutoDetect)
         EXPECT_EQ(from_bin.events()[i], trace.events()[i]);
         EXPECT_EQ(from_txt.events()[i], trace.events()[i]);
     }
-    std::remove(bin_path.c_str());
-    std::remove(txt_path.c_str());
     EXPECT_THROW(loadBinaryTrace("/nonexistent/x.tpb"), TopoError);
 }
 
@@ -135,7 +135,8 @@ TEST(MmapTrace, MappedAndStreamLoadsAgree)
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const Trace trace = randomTrace(30, 3000, 7);
-    const std::string path = "/tmp/topo_trace_mmap_test.tpb";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_test.tpb");
     saveBinaryTrace(path, trace);
 
     // Private registry so the counter assertions see only this test.
@@ -164,7 +165,6 @@ TEST(MmapTrace, MappedAndStreamLoadsAgree)
     const Trace any = loadAnyTrace(path, mapped_opts);
     EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 2u);
     EXPECT_EQ(any.size(), trace.size());
-    std::remove(path.c_str());
 }
 
 TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
@@ -172,7 +172,8 @@ TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
     if (!mmapSupported())
         GTEST_SKIP() << "no mmap on this platform";
     const Trace trace = randomTrace(10, 200, 8);
-    const std::string path = "/tmp/topo_trace_mmap_test.txt";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_test.txt");
     saveTrace(path, trace);
 
     MetricsRegistry metrics;
@@ -186,7 +187,6 @@ TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); i += 17)
         EXPECT_EQ(back.events()[i], trace.events()[i]);
-    std::remove(path.c_str());
 }
 
 TEST(MmapTrace, EligibilityMatrixAndEnvKillSwitch)
@@ -218,7 +218,8 @@ TEST(MmapTrace, EligibilityMatrixAndEnvKillSwitch)
     // End-to-end: the kill-switch still yields a correct (streamed)
     // load, with no mapped-load counter tick.
     const Trace trace = randomTrace(6, 100, 9);
-    const std::string path = "/tmp/topo_trace_mmap_env.tpb";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_env.tpb");
     saveBinaryTrace(path, trace);
     MetricsRegistry metrics;
     MetricsScope scope(metrics);
@@ -229,7 +230,6 @@ TEST(MmapTrace, EligibilityMatrixAndEnvKillSwitch)
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(back.events()[i], trace.events()[i]);
-    std::remove(path.c_str());
 }
 
 TEST(MmapTrace, MapFailureFallsBackToTheStreamError)
@@ -247,7 +247,8 @@ TEST(MmapTrace, MapFailureFallsBackToTheStreamError)
         return;
     // An empty file maps (zero-length) and fails identically to the
     // stream reader: too short for any magic.
-    const std::string path = "/tmp/topo_trace_mmap_empty.tpb";
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("trace_mmap_empty.tpb");
     { std::ofstream os(path, std::ios::binary); }
     std::optional<MappedFile> map = MappedFile::tryMap(path);
     ASSERT_TRUE(map.has_value());
@@ -256,7 +257,6 @@ TEST(MmapTrace, MapFailureFallsBackToTheStreamError)
     TraceReadOptions stream_opts;
     stream_opts.mmap = TraceMmapMode::kOff;
     EXPECT_THROW(loadBinaryTrace(path, stream_opts), TopoError);
-    std::remove(path.c_str());
 }
 
 TEST(BinaryTrace, LargeIdsAndValues)

@@ -17,9 +17,7 @@
 #include "topo/eval/page_metric.hh"
 #include "topo/eval/reports.hh"
 #include "topo/obs/obs.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement.hh"
 #include "topo/placement/refine.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
@@ -103,15 +101,14 @@ run(const Options &opts)
                       fmtBytes(layout.extent(program))});
     };
 
-    const DefaultPlacement def;
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-    report("default", def.place(ctx));
-    report("PH", ph.place(ctx));
-    report("HKC", hkc.place(ctx));
-    const Layout gbsc_layout = gbsc.place(ctx);
-    report("GBSC", gbsc_layout);
+    Layout gbsc_layout;
+    for (const std::string &name : placementNames()) {
+        const PlacementAlgorithm &algo = placementByName(name);
+        Layout layout = algo.place(ctx);
+        report(algo.name(), layout);
+        if (name == "gbsc")
+            gbsc_layout = std::move(layout);
+    }
     if (opts.getBool("refine", false)) {
         const RefineResult refined = refineLayout(ctx, gbsc_layout);
         report("GBSC+refine", refined.layout);

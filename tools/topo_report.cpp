@@ -39,9 +39,7 @@
 #include "topo/eval/report_gen.hh"
 #include "topo/eval/reports.hh"
 #include "topo/obs/obs.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement.hh"
 #include "topo/placement/popularity.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
@@ -59,26 +57,6 @@ namespace
 
 using namespace topo;
 
-/** Resolve one algorithm name; throws a user error on unknowns. */
-const PlacementAlgorithm &
-algorithmByName(const std::string &name)
-{
-    static const DefaultPlacement def;
-    static const PettisHansen ph;
-    static const CacheColoring hkc;
-    static const Gbsc gbsc;
-    if (name == "default")
-        return def;
-    if (name == "ph")
-        return ph;
-    if (name == "hkc")
-        return hkc;
-    if (name == "gbsc")
-        return gbsc;
-    fail("topo_report: unknown algorithm '" + name +
-         "' (use default, ph, hkc, or gbsc)");
-}
-
 std::vector<std::string>
 algorithmListFrom(const Options &opts)
 {
@@ -87,7 +65,7 @@ algorithmListFrom(const Options &opts)
     std::vector<std::string> names = split(raw, ',');
     require(!names.empty(), "topo_report: --algorithms is empty");
     for (const std::string &name : names)
-        algorithmByName(name); // validate early
+        placementByName(name); // validate early
     return names;
 }
 
@@ -114,7 +92,7 @@ placeCandidates(const std::vector<std::string> &algorithms,
 {
     std::vector<LayoutCandidate> candidates;
     for (const std::string &name : algorithms) {
-        const PlacementAlgorithm &algo = algorithmByName(name);
+        const PlacementAlgorithm &algo = placementByName(name);
         LayoutCandidate cand{algo.name(), algo.place(ctx)};
         cand.layout.validate(program, line_bytes);
         candidates.push_back(std::move(cand));
@@ -180,11 +158,11 @@ int
 runBenchmarkReport(const Options &opts)
 {
     const std::string name = opts.getString("benchmark", "");
+    const std::vector<std::string> algorithms = algorithmListFrom(opts);
     const BenchmarkCase bench =
         paperBenchmark(name, traceScaleFrom(opts));
     const EvalOptions eval = evalOptionsFrom(opts);
     const ProfileBundle bundle(bench, eval);
-    const std::vector<std::string> algorithms = algorithmListFrom(opts);
 
     const PlacementContext ctx = bundle.makeContext();
     const std::vector<LayoutCandidate> candidates = placeCandidates(

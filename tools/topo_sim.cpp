@@ -21,10 +21,8 @@
  * pairs; --timeline-window=N samples windowed miss rates, exported as
  * Chrome trace counters when --trace-out is given.
  *
- * Resilience knobs: --recover salvages the valid prefix of a damaged
- * trace instead of exiting with code 2; --checkpoint/--checkpoint-every
- * write periodic simulator checkpoints, --resume continues from one
- * bit-identically, and --stop-after emulates a preemption point.
+ * Resilience knob: --recover salvages the valid prefix of a damaged
+ * trace instead of exiting with code 2.
  */
 
 #include <algorithm>
@@ -46,9 +44,7 @@
 #include "topo/obs/obs.hh"
 #include "topo/obs/provenance.hh"
 #include "topo/obs/timeline.hh"
-#include "topo/placement/cache_coloring.hh"
-#include "topo/placement/gbsc.hh"
-#include "topo/placement/pettis_hansen.hh"
+#include "topo/placement/placement.hh"
 #include "topo/program/layout_io.hh"
 #include "topo/program/program_io.hh"
 #include "topo/resilience/resilience.hh"
@@ -66,52 +62,12 @@ namespace
 
 using namespace topo;
 
-/** Checkpoint/resume directives shared by both run paths. */
-struct ControlState
-{
-    SimCheckpoint resume_ckpt;
-    SimControl control;
-    bool active = false;
-};
-
-ControlState
-controlFrom(const Options &opts)
-{
-    ControlState state;
-    state.control.checkpoint_path = opts.getString("checkpoint", "");
-    state.control.checkpoint_every = static_cast<std::uint64_t>(
-        opts.getInt("checkpoint-every", 0));
-    state.control.stop_after =
-        static_cast<std::uint64_t>(opts.getInt("stop-after", 0));
-    require(state.control.checkpoint_every == 0 ||
-                !state.control.checkpoint_path.empty(),
-            "topo_sim: --checkpoint-every requires --checkpoint");
-    require(state.control.stop_after == 0 ||
-                !state.control.checkpoint_path.empty(),
-            "topo_sim: --stop-after requires --checkpoint");
-    const std::string resume_path = opts.getString("resume", "");
-    if (!resume_path.empty()) {
-        state.resume_ckpt = loadCheckpoint(resume_path);
-        state.control.resume = &state.resume_ckpt;
-    }
-    state.active = state.control.resume != nullptr ||
-                   !state.control.checkpoint_path.empty();
-    return state;
-}
-
 void
-printResult(std::ostream &os, const SimResult &result,
-            const SimControl &control)
+printResult(std::ostream &os, const SimResult &result)
 {
     os << "accesses:   " << result.accesses << " line fetches\n";
     os << "misses:     " << result.misses << "\n";
     os << "miss rate:  " << result.missRate() * 100.0 << "%\n";
-    if (!result.completed) {
-        os << "status:     interrupted at " << result.accesses
-           << " fetches; checkpoint written to "
-           << control.checkpoint_path << " (resume with --resume="
-           << control.checkpoint_path << ")\n";
-    }
 }
 
 /** Print the heaviest evictor→victim pairs from an attribution sink. */
@@ -233,12 +189,12 @@ observationFrom(const Options &opts, const Program &program,
 SimResult
 timedSimulate(const Program &program, const Layout &layout,
               const FetchStream &stream, const CacheConfig &cache,
-              bool attribute, const SimControl *control,
-              const SimObservers *observers, double &wall_ms)
+              bool attribute, const SimObservers *observers,
+              double &wall_ms)
 {
     const auto start = std::chrono::steady_clock::now();
-    const SimResult result = simulateLayout(
-        program, layout, stream, cache, attribute, control, observers);
+    const SimResult result = simulateLayout(program, layout, stream,
+                                            cache, attribute, observers);
     wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
                   .count();
@@ -328,13 +284,10 @@ printSampledResult(std::ostream &os, const SamplePlan &plan,
        << " replayed=" << plan.replayedFraction() * 100.0 << "%\n";
 }
 
-/** Reject observation/checkpoint surfaces that need every reference. */
+/** Reject observation surfaces that need every reference. */
 void
-requireExactOnly(const Options &opts, bool ctl_active)
+requireExactOnly(const Options &opts)
 {
-    require(!ctl_active, "topo_sim: --sample does not combine with "
-                         "checkpoint/resume (sampled replays skip "
-                         "references)");
     require(!opts.getBool("attribution", false) &&
                 !opts.getBool("taxonomy", false) &&
                 opts.getInt("timeline-window", 0) == 0 &&
@@ -453,25 +406,6 @@ writeBenchJson(const std::string &path, const std::string &benchmarks,
             {{"file", path}, {"runs", runs.size()}});
 }
 
-const PlacementAlgorithm &
-algorithmByName(const std::string &name)
-{
-    static const DefaultPlacement def;
-    static const PettisHansen ph;
-    static const CacheColoring hkc;
-    static const Gbsc gbsc;
-    if (name == "gbsc")
-        return gbsc;
-    if (name == "ph")
-        return ph;
-    if (name == "hkc")
-        return hkc;
-    if (name == "default")
-        return def;
-    fail("topo_sim: unknown algorithm '" + name +
-         "' (use gbsc, ph, hkc, or default)");
-}
-
 /** Everything one (benchmark, algorithm) cell produces. */
 struct CellResult
 {
@@ -512,18 +446,13 @@ runBenchmark(const Options &opts)
         algorithms.push_back(opts.getString("algorithm", "gbsc"));
     require(!algorithms.empty(), "topo_sim: --algorithms is empty");
     for (const std::string &name : algorithms)
-        algorithmByName(name); // validate early
+        placementByName(name); // validate early
 
-    ControlState ctl = controlFrom(opts);
     const std::vector<std::string> benches =
         bench_names == "*" ? paperBenchmarkNames()
                            : split(bench_names, ',');
-    const bool single = benches.size() == 1 && algorithms.size() == 1;
-    require(!ctl.active || single,
-            "topo_sim: checkpoint/resume needs a single benchmark and "
-            "algorithm");
     if (eval.sampling.active()) {
-        requireExactOnly(opts, ctl.active);
+        requireExactOnly(opts);
         setProvenance("sampling", "simpoint");
     }
 
@@ -567,7 +496,7 @@ runBenchmark(const Options &opts)
                 out << "cache:      " << eval.cache.describe() << "\n";
             }
             const PlacementContext ctx = bundle.makeContext();
-            const PlacementAlgorithm &algo = algorithmByName(algo_name);
+            const PlacementAlgorithm &algo = placementByName(algo_name);
             const Layout layout = algo.place(ctx);
             layout.validate(bundle.program(), eval.cache.line_bytes);
 
@@ -607,18 +536,14 @@ runBenchmark(const Options &opts)
             Observation obs = observationFrom(
                 opts, bundle.program(), layout, eval.cache,
                 bundle.testStream());
-            require(!obs.active || !ctl.active,
-                    "topo_sim: --attribution/--timeline-window do not "
-                    "combine with checkpoint/resume");
             double wall_ms = 0.0;
             const SimResult result = timedSimulate(
                 bundle.program(), layout, bundle.testStream(),
                 eval.cache, attribute,
-                ctl.active ? &ctl.control : nullptr,
                 obs.active ? &obs.observers : nullptr, wall_ms);
 
             out << "algorithm:  " << algo.name() << "\n";
-            printResult(out, result, ctl.control);
+            printResult(out, result);
             reportObservation(out, bundle.program(), obs,
                               result.misses,
                               bundle.name() + "/" + algo_name);
@@ -753,7 +678,7 @@ run(const Options &opts)
 
     const SamplingOptions sampling = samplingFrom(opts);
     if (sampling.active()) {
-        requireExactOnly(opts, controlFrom(opts).active);
+        requireExactOnly(opts);
         setProvenance("sampling", "simpoint");
         const SamplePlan plan = buildSamplePlan(
             program, trace, eval.cache.line_bytes, sampling);
@@ -805,16 +730,11 @@ run(const Options &opts)
 
     const FetchStream stream(program, trace, eval.cache.line_bytes);
     const bool attribute = opts.getBool("attribute", false);
-    ControlState ctl = controlFrom(opts);
     Observation obs = observationFrom(opts, program, layout, eval.cache,
                                       stream);
-    require(!obs.active || !ctl.active,
-            "topo_sim: --attribution/--timeline-window do not combine "
-            "with checkpoint/resume");
     double wall_ms = 0.0;
     const SimResult result = timedSimulate(
         program, layout, stream, eval.cache, attribute,
-        ctl.active ? &ctl.control : nullptr,
         obs.active ? &obs.observers : nullptr, wall_ms);
 
     std::cout << "cache:      " << eval.cache.describe() << "\n";
@@ -822,7 +742,7 @@ run(const Options &opts)
               << (layout_path.empty() ? "default (source order)"
                                       : layout_path)
               << "\n";
-    printResult(std::cout, result, ctl.control);
+    printResult(std::cout, result);
     reportObservation(std::cout, program, obs, result.misses, "sim");
 
     const std::string bench_out = opts.getString("bench-out", "");
@@ -905,8 +825,6 @@ main(int argc, char **argv)
         "      error exceeds F; requires --sample-verify)\n"
         "  --bench-out=FILE (BENCH_*.json run record)\n"
         "  --recover (salvage a damaged trace and continue)\n"
-        "  --checkpoint=FILE --checkpoint-every=N (periodic state)\n"
-        "  --resume=FILE (continue bit-identically) --stop-after=N\n"
         "  --fault-spec=KIND@P[:seed] (read_short|bitflip|throw_io)\n"
         "  --log-level=L --log-file=FILE --metrics-out=FILE\n"
         "  --trace-out=FILE (Chrome trace events for Perfetto)\n",
@@ -919,8 +837,7 @@ main(int argc, char **argv)
          "sample", "sample-window", "sample-k", "sample-max-k",
          "sample-warmup", "sample-seed", "sample-verify",
          "sample-max-error",
-         "recover", "checkpoint", "checkpoint-every", "resume",
-         "stop-after"},
+         "recover"},
         run,
     };
     return topo::toolMain(argc, argv, spec);
