@@ -22,11 +22,12 @@
 #include "topo/profile/temporal_queue.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/trace/trace_binary.hh"
-#include "topo/trace/trace_io.hh"
 #include "topo/util/flat_map.hh"
 #include "topo/util/rng.hh"
 #include "topo/workload/synthetic_program.hh"
 #include "topo/workload/trace_synthesizer.hh"
+
+#include "../tests/scoped_temp_dir.hh"
 
 namespace
 {
@@ -286,27 +287,20 @@ BM_UnorderedMapAccumulate(benchmark::State &state)
 }
 BENCHMARK(BM_UnorderedMapAccumulate)->Unit(benchmark::kMillisecond);
 
-/** Write the scenario trace to a temp file once; return its path. */
-const std::string &
-benchTracePath()
-{
-    static const std::string path = [] {
-        const std::string p = "/tmp/topo_perf_microbench_trace.tpb";
-        saveBinaryTrace(p, scenario(64).trace);
-        return p;
-    }();
-    return path;
-}
-
+/**
+ * Load the scenario trace from a binary file through loadAnyTrace, the
+ * path every tool takes. The file lives in a private mkdtemp directory
+ * that is removed when the benchmark returns.
+ */
 void
-BM_TraceLoadMmap(benchmark::State &state)
+BM_TraceLoad(benchmark::State &state)
 {
-    const std::string &path = benchTracePath();
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOn;
+    const ScopedTempDir tmp;
+    const std::string path = tmp.file("trace.tpb");
+    saveBinaryTrace(path, scenario(64).trace);
     std::size_t records = 0;
     for (auto _ : state) {
-        const Trace trace = loadBinaryTrace(path, ropts);
+        const Trace trace = loadAnyTrace(path);
         records = trace.size();
         benchmark::DoNotOptimize(records);
     }
@@ -314,25 +308,7 @@ BM_TraceLoadMmap(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(records));
 }
-BENCHMARK(BM_TraceLoadMmap)->Unit(benchmark::kMillisecond);
-
-void
-BM_TraceLoadStream(benchmark::State &state)
-{
-    const std::string &path = benchTracePath();
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOff;
-    std::size_t records = 0;
-    for (auto _ : state) {
-        const Trace trace = loadBinaryTrace(path, ropts);
-        records = trace.size();
-        benchmark::DoNotOptimize(records);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(records));
-}
-BENCHMARK(BM_TraceLoadStream)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceLoad)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -65,6 +65,11 @@ ThreadPool::workerLoop()
         if (stopping_)
             return;
         seen_generation = generation_;
+        // The batch may have finished before this lane woke. Joining
+        // it now would read count_/body_ and bump next_ while the
+        // caller resets them for its next batch.
+        if (count_ == 0)
+            continue;
         ++workers_active_;
         lock.unlock();
 

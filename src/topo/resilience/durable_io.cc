@@ -106,9 +106,8 @@ truncateFd(const Fd &fd, std::uint64_t size, const char *site)
 }
 
 std::string
-readFileBytes(const std::string &path, const char *site)
+readWholeFile(const std::string &path)
 {
-    faultMaybeThrowIo(site);
     Fd fd = openRead(path);
     std::string bytes;
     char buf[1 << 16];
@@ -117,12 +116,20 @@ readFileBytes(const std::string &path, const char *site)
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
-            failCorrupt("read failed: " + errnoText(), site);
+            failCorrupt("read failed: " + errnoText(), path);
         }
         if (rc == 0)
             break;
         bytes.append(buf, static_cast<std::size_t>(rc));
     }
+    return bytes;
+}
+
+std::string
+readFileBytes(const std::string &path, const char *site)
+{
+    faultMaybeThrowIo(site);
+    std::string bytes = readWholeFile(path);
     const std::size_t kept = faultMaybeShortenRead(site, bytes.size());
     if (kept < bytes.size())
         bytes.resize(kept);

@@ -91,9 +91,16 @@ void fsyncDir(const std::string &dir, const char *site);
 void truncateFd(const Fd &fd, std::uint64_t size, const char *site);
 
 /**
- * Read a whole file into a string. Injection: throw_io raises,
- * read_short truncates the returned bytes, bitflip corrupts them —
- * exactly the failure surface a store open must survive.
+ * Read a whole file into a string, with no fault-injection hooks.
+ * Throws a user-error TopoError naming @p path when it cannot be
+ * opened, and a corrupt-input one when a read fails.
+ */
+std::string readWholeFile(const std::string &path);
+
+/**
+ * readWholeFile with fault injection: throw_io raises, read_short
+ * truncates the returned bytes, bitflip corrupts them — exactly the
+ * failure surface a store open must survive.
  */
 std::string readFileBytes(const std::string &path, const char *site);
 

@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
-#include <optional>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 #include <string_view>
 
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/resilience/crc32.hh"
+#include "topo/resilience/durable_io.hh"
 #include "topo/resilience/fault.hh"
 #include "topo/trace/trace_io.hh"
-#include "topo/trace/trace_mmap.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -57,39 +58,23 @@ putVarint(std::ostream &os, std::uint64_t value)
     os.put(static_cast<char>(value));
 }
 
+/**
+ * Read one LEB128 varint at @p pos. This runs three times per record,
+ * so the error text is built only when the read fails.
+ */
 std::uint64_t
-getVarint(std::istream &is, const char *what)
+getVarint(std::string_view buf, std::size_t &pos, const char *what)
 {
     std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-        const int byte = is.get();
-        requireData(byte != std::char_traits<char>::eof(),
-                    std::string("truncated varint in ") + what);
-        requireData(shift < 64,
-                    std::string("varint overflow in ") + what);
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return value;
-        shift += 7;
-    }
-}
-
-std::uint64_t
-getVarintBuf(std::string_view buf, std::size_t &pos, const char *what)
-{
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-        requireData(pos < buf.size(),
-                    std::string("truncated varint in ") + what);
-        requireData(shift < 64,
-                    std::string("varint overflow in ") + what);
+    for (int shift = 0;; shift += 7) {
+        if (pos >= buf.size())
+            failCorrupt(std::string("truncated varint in ") + what);
+        if (shift >= 64)
+            failCorrupt(std::string("varint overflow in ") + what);
         const int byte = static_cast<unsigned char>(buf[pos++]);
         value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80))
             return value;
-        shift += 7;
     }
 }
 
@@ -107,33 +92,126 @@ unzigzag(std::uint64_t value)
            -static_cast<std::int64_t>(value & 1);
 }
 
-/** Decode one run; shared by the v1 stream and v2 payload decoders. */
+/** Decode the run at @p pos; shared by the v1 body and v2 payloads. */
 TraceEvent
-decodeRecord(std::uint64_t zz_delta, std::uint64_t offset,
-             std::uint64_t length, std::int64_t &prev_proc,
-             std::uint64_t proc_count)
+decodeRecord(std::string_view buf, std::size_t &pos, const char *what,
+             std::uint64_t &prev_proc, std::uint64_t proc_count)
 {
-    const std::int64_t proc = prev_proc + unzigzag(zz_delta);
-    requireData(proc >= 0 &&
-                    proc < static_cast<std::int64_t>(proc_count),
-                "readBinaryTrace: procedure id out of range");
-    requireData(offset <= ~std::uint32_t{0} &&
-                    length <= ~std::uint32_t{0},
-                "readBinaryTrace: field overflow");
+    const std::uint64_t zz = getVarint(buf, pos, what);
+    const std::uint64_t offset = getVarint(buf, pos, what);
+    const std::uint64_t length = getVarint(buf, pos, what);
+    // Unsigned, so a hostile delta wraps instead of overflowing; a
+    // negative id wraps past proc_count and is rejected with the rest.
+    const std::uint64_t proc =
+        prev_proc + static_cast<std::uint64_t>(unzigzag(zz));
+    if (proc >= proc_count)
+        failCorrupt("readBinaryTrace: procedure id out of range");
+    if (offset > ~std::uint32_t{0} || length > ~std::uint32_t{0})
+        failCorrupt("readBinaryTrace: field overflow");
     prev_proc = proc;
     return TraceEvent{static_cast<ProcId>(proc),
                       static_cast<std::uint32_t>(offset),
                       static_cast<std::uint32_t>(length)};
 }
 
+/** The header in front of each v2 chunk payload. */
+struct ChunkHeader
+{
+    std::uint64_t records = 0;
+    std::uint64_t payload_bytes = 0;
+    std::uint32_t crc = 0;
+};
+
 /**
- * Shared v1 salvage/report epilogue: identical metrics, logs, and
- * error text whether the records came from a stream or a mapping.
+ * Parse the v2 chunk header at @p pos and leave @p pos on the payload.
+ * Both size fields are bounded before anything trusts them, so
+ * pos + payload_bytes cannot wrap. Whether the whole payload is
+ * present is the caller's check.
+ */
+ChunkHeader
+parseChunkHeader(std::string_view buf, std::size_t &pos)
+{
+    ChunkHeader header;
+    header.records = getVarint(buf, pos, "v2 chunk header");
+    if (header.records == 0 || header.records > kMaxChunkRecords) {
+        failCorrupt("readBinaryTrace: implausible chunk record count " +
+                    std::to_string(header.records));
+    }
+    header.payload_bytes = getVarint(buf, pos, "v2 chunk header");
+    if (header.payload_bytes > header.records * kMaxRecordBytes) {
+        failCorrupt("readBinaryTrace: implausible chunk payload size " +
+                    std::to_string(header.payload_bytes));
+    }
+    if (buf.size() - pos < 4)
+        failCorrupt("readBinaryTrace: truncated chunk checksum");
+    for (int i = 0; i < 4; ++i) {
+        header.crc |= static_cast<std::uint32_t>(
+                          static_cast<unsigned char>(buf[pos + i]))
+                      << (8 * i);
+    }
+    pos += 4;
+    return header;
+}
+
+/**
+ * Decode the v2 chunk at @p pos into @p out (cleared first; the caller
+ * reuses it) and move @p pos past the chunk. Fault hooks: throw_io
+ * before the header, then a short read over the payload bytes present
+ * and a bit flip on the payload, which is why @p image is writable.
  */
 void
-reportV1Outcome(std::uint64_t got, std::uint64_t run_count,
-                const TraceReadOptions &ropts)
+decodeChunk(std::string &image, std::size_t &pos,
+            std::uint64_t proc_count, std::vector<TraceEvent> &out)
 {
+    faultMaybeThrowIo("trace_binary.chunk");
+    const ChunkHeader header = parseChunkHeader(image, pos);
+    const std::size_t size = static_cast<std::size_t>(
+        std::min<std::uint64_t>(header.payload_bytes,
+                                image.size() - pos));
+    if (faultMaybeShortenRead("trace_binary.payload", size) !=
+        header.payload_bytes) {
+        failCorrupt("readBinaryTrace: truncated chunk payload");
+    }
+    char *payload = image.data() + pos;
+    faultMaybeCorrupt("trace_binary.payload", payload, size);
+    if (crc32(payload, size) != header.crc)
+        failCorrupt("readBinaryTrace: chunk CRC mismatch");
+
+    const std::string_view records(payload, size);
+    out.clear();
+    out.reserve(static_cast<std::size_t>(header.records));
+    std::size_t at = 0;
+    std::uint64_t prev_proc = 0;
+    for (std::uint64_t i = 0; i < header.records; ++i) {
+        out.push_back(decodeRecord(records, at, "v2 record", prev_proc,
+                                   proc_count));
+    }
+    if (at != size)
+        failCorrupt("readBinaryTrace: trailing bytes in chunk payload");
+    pos += size;
+}
+
+/** v1 body: one undelimited run stream (salvageable per record). */
+Trace
+decodeBodyV1(std::string_view image, std::size_t pos,
+             std::uint64_t proc_count, std::uint64_t run_count,
+             const TraceReadOptions &ropts)
+{
+    Trace trace(proc_count);
+    trace.reserve(static_cast<std::size_t>(
+        std::min(run_count, kReserveCap)));
+    std::uint64_t prev_proc = 0;
+    std::uint64_t got = 0;
+    try {
+        for (; got < run_count; ++got) {
+            const TraceEvent ev = decodeRecord(
+                image, pos, "v1 record", prev_proc, proc_count);
+            trace.append(ev.proc, ev.offset, ev.length);
+        }
+    } catch (const TopoError &) {
+        if (!ropts.recover)
+            throw;
+    }
     if (got < run_count) {
         if (!ropts.recover) {
             failCorrupt("readBinaryTrace: trace promises " +
@@ -153,14 +231,36 @@ reportV1Outcome(std::uint64_t got, std::uint64_t run_count,
     } else if (ropts.report != nullptr) {
         ropts.report->records_recovered = got;
     }
+    return trace;
 }
 
-/** Shared v2 salvage/report epilogue (see reportV1Outcome). */
-void
-reportV2Outcome(std::uint64_t chunks, std::uint64_t got,
-                std::uint64_t run_count, bool bad_chunk,
-                const TraceReadOptions &ropts)
+/** v2 body: CRC-guarded chunks (salvageable per chunk). */
+Trace
+decodeBodyV2(std::string &image, std::size_t pos,
+             std::uint64_t proc_count, std::uint64_t run_count,
+             const TraceReadOptions &ropts)
 {
+    Trace trace(proc_count);
+    trace.reserve(static_cast<std::size_t>(
+        std::min(run_count, kReserveCap)));
+    std::uint64_t chunks = 0;
+    std::uint64_t got = 0;
+    bool bad_chunk = false;
+    std::vector<TraceEvent> chunk;
+    while (pos < image.size()) {
+        try {
+            decodeChunk(image, pos, proc_count, chunk);
+        } catch (const TopoError &) {
+            if (!ropts.recover)
+                throw;
+            bad_chunk = true;
+            break;
+        }
+        for (const TraceEvent &ev : chunk)
+            trace.append(ev.proc, ev.offset, ev.length);
+        got += chunk.size();
+        ++chunks;
+    }
     if (got != run_count || bad_chunk) {
         if (!ropts.recover) {
             failCorrupt("readBinaryTrace: trace promises " +
@@ -186,253 +286,34 @@ reportV2Outcome(std::uint64_t chunks, std::uint64_t got,
         ropts.report->chunks_recovered = chunks;
         ropts.report->records_recovered = got;
     }
-}
-
-/** v1 body: a single undelimited run stream (salvageable per record). */
-Trace
-readBodyV1(std::istream &is, std::uint64_t proc_count,
-           std::uint64_t run_count, const TraceReadOptions &ropts)
-{
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::int64_t prev_proc = 0;
-    std::uint64_t got = 0;
-    try {
-        for (; got < run_count; ++got) {
-            const std::uint64_t zz =
-                getVarint(is, "v1 record");
-            const std::uint64_t offset = getVarint(is, "v1 record");
-            const std::uint64_t length = getVarint(is, "v1 record");
-            const TraceEvent ev = decodeRecord(
-                zz, offset, length, prev_proc, proc_count);
-            trace.append(ev.proc, ev.offset, ev.length);
-        }
-    } catch (const TopoError &) {
-        if (!ropts.recover)
-            throw;
-    }
-    reportV1Outcome(got, run_count, ropts);
     return trace;
 }
 
 /**
- * Read and decode one v2 chunk into @p out. Throws a corrupt-input
- * TopoError on truncation, implausible size fields, CRC mismatch, or
- * malformed payload. Returns false on clean end-of-file before the
- * chunk header.
+ * Decode a whole binary trace image (v1 or v2). The image is owned
+ * and writable so the payload bit-flip fault hook can damage it in
+ * place.
  */
-bool
-readChunkV2(std::istream &is, std::uint64_t proc_count,
-            std::vector<TraceEvent> &out)
-{
-    if (is.peek() == std::char_traits<char>::eof())
-        return false;
-    faultMaybeThrowIo("trace_binary.chunk");
-    const std::uint64_t record_count =
-        getVarint(is, "v2 chunk header");
-    requireData(record_count > 0 && record_count <= kMaxChunkRecords,
-                "readBinaryTrace: implausible chunk record count " +
-                    std::to_string(record_count));
-    const std::uint64_t payload_bytes =
-        getVarint(is, "v2 chunk header");
-    requireData(payload_bytes <= record_count * kMaxRecordBytes,
-                "readBinaryTrace: implausible chunk payload size " +
-                    std::to_string(payload_bytes));
-    char crc_bytes[4] = {};
-    is.read(crc_bytes, sizeof(crc_bytes));
-    requireData(is.gcount() == 4,
-                "readBinaryTrace: truncated chunk checksum");
-    std::uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        crc |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(crc_bytes[i]))
-               << (8 * i);
-    }
-
-    std::string payload(static_cast<std::size_t>(payload_bytes), '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload.size()));
-    std::size_t got_bytes = static_cast<std::size_t>(is.gcount());
-    got_bytes = faultMaybeShortenRead("trace_binary.payload",
-                                      got_bytes);
-    requireData(got_bytes == payload.size(),
-                "readBinaryTrace: truncated chunk payload");
-    faultMaybeCorrupt("trace_binary.payload", payload.data(),
-                      payload.size());
-    requireData(crc32(payload) == crc,
-                "readBinaryTrace: chunk CRC mismatch");
-
-    out.clear();
-    out.reserve(static_cast<std::size_t>(record_count));
-    std::size_t pos = 0;
-    std::int64_t prev_proc = 0;
-    for (std::uint64_t i = 0; i < record_count; ++i) {
-        const std::uint64_t zz = getVarintBuf(payload, pos, "v2 record");
-        const std::uint64_t offset =
-            getVarintBuf(payload, pos, "v2 record");
-        const std::uint64_t length =
-            getVarintBuf(payload, pos, "v2 record");
-        out.push_back(decodeRecord(zz, offset, length, prev_proc,
-                                   proc_count));
-    }
-    requireData(pos == payload.size(),
-                "readBinaryTrace: trailing bytes in chunk payload");
-    return true;
-}
-
-/** v2 body: CRC-guarded chunks (salvageable per chunk). */
 Trace
-readBodyV2(std::istream &is, std::uint64_t proc_count,
-           std::uint64_t run_count, const TraceReadOptions &ropts)
+decodeImage(std::string &image, const TraceReadOptions &ropts)
 {
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::uint64_t chunks = 0;
-    std::uint64_t got = 0;
-    bool bad_chunk = false;
-    std::vector<TraceEvent> chunk;
-    for (;;) {
-        try {
-            if (!readChunkV2(is, proc_count, chunk))
-                break;
-        } catch (const TopoError &) {
-            if (!ropts.recover)
-                throw;
-            bad_chunk = true;
-            break;
-        }
-        for (const TraceEvent &ev : chunk)
-            trace.append(ev.proc, ev.offset, ev.length);
-        got += chunk.size();
-        ++chunks;
-    }
-    reportV2Outcome(chunks, got, run_count, bad_chunk, ropts);
-    return trace;
-}
-
-/**
- * Zero-copy v2 chunk decode: header varints, CRC, and records are all
- * parsed in place over the mapped image — the payload is never copied
- * into a scratch buffer (contrast readChunkV2's std::string). The CRC
- * is computed over the mapped payload bytes here, on first decode of
- * the chunk ("lazy" validation: no separate checksum pass). No fault
- * hooks: when a fault plan is armed the loaders take the stream path.
- * @p out is caller-reused scratch (cleared here, capacity retained),
- * so steady-state decode performs no per-chunk heap allocation.
- */
-bool
-readChunkV2Buf(std::string_view buf, std::size_t &pos,
-               std::uint64_t proc_count, std::vector<TraceEvent> &out)
-{
-    if (pos == buf.size())
-        return false;
-    const std::uint64_t record_count =
-        getVarintBuf(buf, pos, "v2 chunk header");
-    requireData(record_count > 0 && record_count <= kMaxChunkRecords,
-                "readBinaryTrace: implausible chunk record count " +
-                    std::to_string(record_count));
-    const std::uint64_t payload_bytes =
-        getVarintBuf(buf, pos, "v2 chunk header");
-    requireData(payload_bytes <= record_count * kMaxRecordBytes,
-                "readBinaryTrace: implausible chunk payload size " +
-                    std::to_string(payload_bytes));
-    requireData(pos + 4 <= buf.size(),
-                "readBinaryTrace: truncated chunk checksum");
-    std::uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        crc |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(buf[pos + i]))
-               << (8 * i);
-    }
-    pos += 4;
-    requireData(payload_bytes <= buf.size() - pos,
-                "readBinaryTrace: truncated chunk payload");
-    const std::string_view payload =
-        buf.substr(pos, static_cast<std::size_t>(payload_bytes));
-    requireData(crc32(payload.data(), payload.size()) == crc,
-                "readBinaryTrace: chunk CRC mismatch");
-
-    out.clear();
-    out.reserve(static_cast<std::size_t>(record_count));
-    std::size_t at = 0;
-    std::int64_t prev_proc = 0;
-    for (std::uint64_t i = 0; i < record_count; ++i) {
-        const std::uint64_t zz = getVarintBuf(payload, at, "v2 record");
-        const std::uint64_t offset =
-            getVarintBuf(payload, at, "v2 record");
-        const std::uint64_t length =
-            getVarintBuf(payload, at, "v2 record");
-        out.push_back(decodeRecord(zz, offset, length, prev_proc,
-                                   proc_count));
-    }
-    requireData(at == payload.size(),
-                "readBinaryTrace: trailing bytes in chunk payload");
-    pos += payload.size();
-    return true;
-}
-
-/** v1 body over an in-memory image (salvageable per record). */
-Trace
-readBodyV1Buf(std::string_view buf, std::size_t pos,
-              std::uint64_t proc_count, std::uint64_t run_count,
-              const TraceReadOptions &ropts)
-{
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::int64_t prev_proc = 0;
-    std::uint64_t got = 0;
-    try {
-        for (; got < run_count; ++got) {
-            const std::uint64_t zz = getVarintBuf(buf, pos, "v1 record");
-            const std::uint64_t offset =
-                getVarintBuf(buf, pos, "v1 record");
-            const std::uint64_t length =
-                getVarintBuf(buf, pos, "v1 record");
-            const TraceEvent ev = decodeRecord(
-                zz, offset, length, prev_proc, proc_count);
-            trace.append(ev.proc, ev.offset, ev.length);
-        }
-    } catch (const TopoError &) {
-        if (!ropts.recover)
-            throw;
-    }
-    reportV1Outcome(got, run_count, ropts);
-    return trace;
-}
-
-/** v2 body over an in-memory image (salvageable per chunk). */
-Trace
-readBodyV2Buf(std::string_view buf, std::size_t pos,
-              std::uint64_t proc_count, std::uint64_t run_count,
-              const TraceReadOptions &ropts)
-{
-    Trace trace(proc_count);
-    trace.reserve(static_cast<std::size_t>(
-        std::min(run_count, kReserveCap)));
-    std::uint64_t chunks = 0;
-    std::uint64_t got = 0;
-    bool bad_chunk = false;
-    std::vector<TraceEvent> chunk;
-    for (;;) {
-        try {
-            if (!readChunkV2Buf(buf, pos, proc_count, chunk))
-                break;
-        } catch (const TopoError &) {
-            if (!ropts.recover)
-                throw;
-            bad_chunk = true;
-            break;
-        }
-        for (const TraceEvent &ev : chunk)
-            trace.append(ev.proc, ev.offset, ev.length);
-        got += chunk.size();
-        ++chunks;
-    }
-    reportV2Outcome(chunks, got, run_count, bad_chunk, ropts);
-    return trace;
+    faultMaybeThrowIo("trace_binary.header");
+    requireData(image.size() >= 4 &&
+                    std::equal(kMagic, kMagic + 4, image.begin()),
+                "readBinaryTrace: bad magic");
+    std::size_t pos = 4;
+    const std::uint64_t version = getVarint(image, pos, "header");
+    requireData(version == kVersionV1 || version == kVersionV2,
+                "readBinaryTrace: unsupported version " +
+                    std::to_string(version));
+    const std::uint64_t proc_count = getVarint(image, pos, "header");
+    requireData(proc_count <= kMaxProcCount,
+                "readBinaryTrace: implausible procedure count " +
+                    std::to_string(proc_count));
+    const std::uint64_t run_count = getVarint(image, pos, "header");
+    if (version == kVersionV1)
+        return decodeBodyV1(image, pos, proc_count, run_count, ropts);
+    return decodeBodyV2(image, pos, proc_count, run_count, ropts);
 }
 
 } // namespace
@@ -478,48 +359,9 @@ writeBinaryTrace(std::ostream &os, const Trace &trace,
 Trace
 readBinaryTrace(std::istream &is, const TraceReadOptions &ropts)
 {
-    faultMaybeThrowIo("trace_binary.header");
-    char magic[4] = {};
-    is.read(magic, sizeof(magic));
-    requireData(is.gcount() == 4 &&
-                    std::equal(magic, magic + 4, kMagic),
-                "readBinaryTrace: bad magic");
-    const std::uint64_t version = getVarint(is, "header");
-    requireData(version == kVersionV1 || version == kVersionV2,
-                "readBinaryTrace: unsupported version " +
-                    std::to_string(version));
-    const std::uint64_t proc_count = getVarint(is, "header");
-    requireData(proc_count <= kMaxProcCount,
-                "readBinaryTrace: implausible procedure count " +
-                    std::to_string(proc_count));
-    const std::uint64_t run_count = getVarint(is, "header");
-    if (version == kVersionV1)
-        return readBodyV1(is, proc_count, run_count, ropts);
-    return readBodyV2(is, proc_count, run_count, ropts);
-}
-
-Trace
-decodeBinaryTrace(const char *data, std::size_t size,
-                  const TraceReadOptions &ropts)
-{
-    const std::string_view buf(data, size);
-    std::size_t pos = 0;
-    requireData(buf.size() >= 4 &&
-                    std::equal(kMagic, kMagic + 4, buf.begin()),
-                "readBinaryTrace: bad magic");
-    pos = 4;
-    const std::uint64_t version = getVarintBuf(buf, pos, "header");
-    requireData(version == kVersionV1 || version == kVersionV2,
-                "readBinaryTrace: unsupported version " +
-                    std::to_string(version));
-    const std::uint64_t proc_count = getVarintBuf(buf, pos, "header");
-    requireData(proc_count <= kMaxProcCount,
-                "readBinaryTrace: implausible procedure count " +
-                    std::to_string(proc_count));
-    const std::uint64_t run_count = getVarintBuf(buf, pos, "header");
-    if (version == kVersionV1)
-        return readBodyV1Buf(buf, pos, proc_count, run_count, ropts);
-    return readBodyV2Buf(buf, pos, proc_count, run_count, ropts);
+    std::string image{std::istreambuf_iterator<char>(is),
+                      std::istreambuf_iterator<char>()};
+    return decodeImage(image, ropts);
 }
 
 void
@@ -534,77 +376,39 @@ saveBinaryTrace(const std::string &path, const Trace &trace,
 }
 
 Trace
-loadBinaryTrace(const std::string &path, const TraceReadOptions &ropts)
-{
-    if (traceMmapEligible(ropts)) {
-        std::optional<MappedFile> map = MappedFile::tryMap(path);
-        if (map.has_value()) {
-            MetricsRegistry::current().counter("trace.mmap_loads").add();
-            return decodeBinaryTrace(map->data(), map->size(), ropts);
-        }
-        // Map failure (missing file, pipe, exotic filesystem): the
-        // stream path below produces the canonical error or result.
-    }
-    std::ifstream is(path, std::ios::binary);
-    require(is.good(), "loadBinaryTrace: cannot open '" + path + "'");
-    return readBinaryTrace(is, ropts);
-}
-
-Trace
 loadAnyTrace(const std::string &path, const TraceReadOptions &ropts)
 {
-    if (traceMmapEligible(ropts)) {
-        std::optional<MappedFile> map = MappedFile::tryMap(path);
-        if (map.has_value()) {
-            requireData(map->size() >= 4,
-                        "loadAnyTrace: file too short", path);
-            if (std::equal(kMagic, kMagic + 4, map->data())) {
-                MetricsRegistry::current()
-                    .counter("trace.mmap_loads")
-                    .add();
-                return decodeBinaryTrace(map->data(), map->size(),
-                                         ropts);
-            }
-            // Text traces stay on the line-oriented stream parser.
-        }
-    }
-    std::ifstream is(path, std::ios::binary);
-    require(is.good(), "loadAnyTrace: cannot open '" + path + "'");
-    char head[4] = {};
-    is.read(head, sizeof(head));
-    requireData(is.gcount() == 4, "loadAnyTrace: file too short",
+    std::string image = readWholeFile(path);
+    requireData(image.size() >= 4, "loadAnyTrace: file too short",
                 path);
-    is.seekg(0);
-    if (std::equal(head, head + 4, kMagic))
-        return readBinaryTrace(is, ropts);
+    if (std::equal(kMagic, kMagic + 4, image.begin()))
+        return decodeImage(image, ropts);
+    std::istringstream is(std::move(image));
     return readTrace(is, ropts);
 }
 
 std::vector<ChunkExtent>
 scanBinaryTraceChunks(const std::string &bytes)
 {
-    std::size_t pos = 0;
     requireData(bytes.size() >= 4 &&
                     std::equal(kMagic, kMagic + 4, bytes.begin()),
                 "scanBinaryTraceChunks: bad magic");
-    pos = 4;
-    const std::uint64_t version =
-        getVarintBuf(bytes, pos, "header");
+    std::size_t pos = 4;
+    const std::uint64_t version = getVarint(bytes, pos, "header");
     requireData(version == kVersionV2,
                 "scanBinaryTraceChunks: not a v2 trace");
-    getVarintBuf(bytes, pos, "header"); // proc_count
-    getVarintBuf(bytes, pos, "header"); // run_count
+    getVarint(bytes, pos, "header"); // proc_count
+    getVarint(bytes, pos, "header"); // run_count
     std::vector<ChunkExtent> extents;
     while (pos < bytes.size()) {
         ChunkExtent extent;
         extent.begin = pos;
-        extent.records = getVarintBuf(bytes, pos, "chunk header");
-        const std::uint64_t payload_bytes =
-            getVarintBuf(bytes, pos, "chunk header");
-        requireData(pos + 4 + payload_bytes <= bytes.size(),
+        const ChunkHeader header = parseChunkHeader(bytes, pos);
+        requireData(header.payload_bytes <= bytes.size() - pos,
                     "scanBinaryTraceChunks: truncated chunk");
-        pos += 4 + static_cast<std::size_t>(payload_bytes);
+        pos += static_cast<std::size_t>(header.payload_bytes);
         extent.end = pos;
+        extent.records = header.records;
         extents.push_back(extent);
     }
     return extents;

@@ -27,7 +27,14 @@
  * Version 1 (headerless stream of runs after "TOPB" 1 proc_count
  * run_count) is still readable.
  *
- * Readers run in one of two modes. Strict (default): any truncation,
+ * There is one decoder. It works on the whole file image in memory:
+ * readBinaryTrace reads its stream to the end and loadAnyTrace reads
+ * the file once, then both decode. The fault-injection sites are
+ * trace_binary.header (throw_io before the header) and, per chunk,
+ * trace_binary.chunk (throw_io) and trace_binary.payload (a short
+ * read over the payload bytes present, then a bit flip).
+ *
+ * Reads run in one of two modes. Strict (default): any truncation,
  * CRC mismatch, or malformed field throws a corrupt-input TopoError
  * (tool exit code 2). Recover (--recover): the valid chunk prefix is
  * salvaged, the loss is reported through the trace.recovered_chunks /
@@ -55,34 +62,23 @@ void writeBinaryTrace(std::ostream &os, const Trace &trace,
                       const TraceWriteOptions &wopts = {});
 
 /**
- * Read a binary trace (v1 or v2); throws a corrupt-input TopoError on
- * malformed input unless @p ropts.recover is set.
+ * Read a binary trace (v1 or v2) to the end of @p is; throws a
+ * corrupt-input TopoError on malformed input unless @p ropts.recover
+ * is set.
  */
 Trace readBinaryTrace(std::istream &is,
                       const TraceReadOptions &ropts = {});
-
-/**
- * Decode a complete in-memory binary trace image (v1 or v2) without
- * copying chunk payloads — records are parsed and CRCs verified
- * directly over [data, data + size). This is the zero-copy core the
- * mmap loader uses; strict/recover semantics, salvage metrics, and
- * error text match readBinaryTrace exactly.
- */
-Trace decodeBinaryTrace(const char *data, std::size_t size,
-                        const TraceReadOptions &ropts = {});
 
 /** Write a binary trace to a file path. */
 void saveBinaryTrace(const std::string &path, const Trace &trace,
                      const TraceWriteOptions &wopts = {});
 
-/** Read a binary trace from a file path. */
-Trace loadBinaryTrace(const std::string &path,
-                      const TraceReadOptions &ropts = {});
-
 /**
  * Load a trace from a path, auto-detecting text ("topo-trace") vs
- * binary ("TOPB") by the leading magic. Recover mode applies to both
- * (for text, the valid line prefix is salvaged).
+ * binary ("TOPB") by the leading magic. The file is read once, with no
+ * fault hooks of its own. Recover mode applies to both formats (for
+ * text, the valid line prefix is salvaged). A missing file is a
+ * user error.
  */
 Trace loadAnyTrace(const std::string &path,
                    const TraceReadOptions &ropts = {});
@@ -100,7 +96,8 @@ struct ChunkExtent
 
 /**
  * Map the chunk layout of an in-memory v2 trace image without
- * decoding payloads (CRCs are not verified). Used by topo_corrupt to
+ * decoding payloads (CRCs are not verified). Chunk headers go through
+ * the decoder's parser and its bounds. Used by topo_corrupt to
  * target whole-chunk drops. Throws a corrupt-input TopoError when
  * @p bytes is not a structurally complete v2 trace.
  */

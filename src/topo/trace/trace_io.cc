@@ -117,12 +117,4 @@ saveTrace(const std::string &path, const Trace &trace)
     require(os.good(), "saveTrace: write failed for '" + path + "'");
 }
 
-Trace
-loadTrace(const std::string &path, const TraceReadOptions &ropts)
-{
-    std::ifstream is(path);
-    require(is.good(), "loadTrace: cannot open '" + path + "'");
-    return readTrace(is, ropts);
-}
-
 } // namespace topo

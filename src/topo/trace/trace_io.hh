@@ -10,7 +10,8 @@
  * This header also defines the read/write option structs shared with
  * the binary format (trace_binary.hh): both readers support a recover
  * mode that salvages the valid prefix of a damaged file instead of
- * aborting the run.
+ * aborting the run. Files of either format are loaded through
+ * loadAnyTrace (trace_binary.hh), which sniffs the magic.
  */
 
 #ifndef TOPO_TRACE_TRACE_IO_HH
@@ -45,17 +46,6 @@ struct TraceRecovery
     std::uint64_t records_dropped = 0;
 };
 
-/** How file-path loads pick between the mmap and stream readers. */
-enum class TraceMmapMode
-{
-    /** Map when supported and no fault-injection plan is armed. */
-    kAuto = 0,
-    /** Always use the buffered stream reader. */
-    kOff,
-    /** Map whenever the platform supports it (tests pin the path). */
-    kOn,
-};
-
 /** Reader knobs. */
 struct TraceReadOptions
 {
@@ -63,11 +53,6 @@ struct TraceReadOptions
     bool recover = false;
     /** When non-null, filled with what a recover-mode read salvaged. */
     TraceRecovery *report = nullptr;
-    /**
-     * mmap policy for file-path loads (trace_mmap.hh has the full
-     * fallback matrix); stream-based reads are unaffected.
-     */
-    TraceMmapMode mmap = TraceMmapMode::kAuto;
 };
 
 /** Write a trace in the text format. */
@@ -82,10 +67,6 @@ Trace readTrace(std::istream &is, const TraceReadOptions &ropts = {});
 
 /** Write a trace to a file path. */
 void saveTrace(const std::string &path, const Trace &trace);
-
-/** Read a trace from a file path. */
-Trace loadTrace(const std::string &path,
-                const TraceReadOptions &ropts = {});
 
 } // namespace topo
 

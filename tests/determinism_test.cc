@@ -22,8 +22,6 @@
 #include "topo/eval/layout_diff.hh"
 #include "topo/placement/decision_log.hh"
 #include "topo/trace/fetch_stream.hh"
-#include "topo/trace/trace_binary.hh"
-#include "topo/trace/trace_mmap.hh"
 #include "topo/exec/exec.hh"
 #include "topo/placement/cache_coloring.hh"
 #include "topo/placement/gbsc.hh"
@@ -34,8 +32,6 @@
 #include "topo/profile/wcg_builder.hh"
 #include "topo/workload/paper_suite.hh"
 #include "topo/workload/trace_synthesizer.hh"
-
-#include "scoped_temp_dir.hh"
 
 namespace topo
 {
@@ -256,100 +252,6 @@ TEST(Determinism, ShardBoundaryInsideChunkSpanningRuns)
         const TrgBuildResult sharded =
             shardedBuild(p, chunks, options, trace, shard_count);
         expectResultsEqual(sharded, reference);
-    }
-}
-
-TEST(Determinism, MmapAndStreamTraceSourcesPlaceIdentically)
-{
-    // The zero-copy mapped loader must be invisible to every consumer:
-    // a trace round-tripped through disk and loaded via mmap vs the
-    // stream reader, then pushed through the full profile -> placement
-    // -> simulation pipeline at jobs 1 and 4, must yield identical
-    // layouts and miss counts in all combinations.
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
-    const BenchmarkCase bench = paperBenchmark("gcc", 0.01);
-    const Program &program = bench.model.program;
-    const Trace original = synthesizeTrace(bench.model, bench.train);
-    const ScopedTempDir tmp;
-    const std::string path = tmp.file("determinism_mmap.tpb");
-    saveBinaryTrace(path, original);
-    TraceReadOptions mapped_opts;
-    mapped_opts.mmap = TraceMmapMode::kOn;
-    TraceReadOptions stream_opts;
-    stream_opts.mmap = TraceMmapMode::kOff;
-    const Trace mapped = loadBinaryTrace(path, mapped_opts);
-    const Trace streamed = loadBinaryTrace(path, stream_opts);
-    ASSERT_EQ(mapped.size(), original.size());
-    ASSERT_EQ(streamed.size(), original.size());
-
-    CacheConfig cache;
-    cache.size_bytes = 4096;
-    cache.line_bytes = 32;
-    cache.associativity = 1;
-    const ChunkMap chunks(program);
-    const PettisHansen ph;
-    const CacheColoring hkc;
-    const Gbsc gbsc;
-    const PlacementAlgorithm *algorithms[] = {&ph, &hkc, &gbsc};
-
-    struct Outcome
-    {
-        std::vector<Layout> layouts;
-        std::vector<std::uint64_t> misses;
-    };
-    const auto run = [&](const Trace &trace, int jobs) {
-        setExecJobs(jobs);
-        const TrgBuildResult trg =
-            buildTrgs(program, chunks, trace, TrgBuildOptions{});
-        const WeightedGraph wcg = buildWcg(program, trace);
-        const PairDatabase pairs =
-            buildPairDatabase(program, trace, PairBuildOptions{});
-        setExecJobs(1);
-        PlacementContext ctx;
-        ctx.program = &program;
-        ctx.cache = cache;
-        ctx.chunks = &chunks;
-        ctx.wcg = &wcg;
-        ctx.trg_select = &trg.select;
-        ctx.trg_place = &trg.place;
-        ctx.pairs = &pairs;
-        ctx.heat.assign(program.procCount(), 0.0);
-        for (const TraceEvent &ev : trace.events())
-            ctx.heat[ev.proc] += static_cast<double>(ev.length);
-        const FetchStream stream(program, trace, cache.line_bytes);
-        Outcome out;
-        for (const PlacementAlgorithm *algorithm : algorithms) {
-            Layout layout = algorithm->place(ctx);
-            out.misses.push_back(
-                simulateLayout(program, layout, stream, cache, false)
-                    .misses);
-            out.layouts.push_back(std::move(layout));
-        }
-        return out;
-    };
-
-    const Outcome reference = run(mapped, 1);
-    const struct
-    {
-        const Trace *trace;
-        int jobs;
-        const char *what;
-    } variants[] = {
-        {&mapped, 4, "mapped jobs=4"},
-        {&streamed, 1, "streamed jobs=1"},
-        {&streamed, 4, "streamed jobs=4"},
-    };
-    for (const auto &variant : variants) {
-        const Outcome got = run(*variant.trace, variant.jobs);
-        for (std::size_t a = 0; a < std::size(algorithms); ++a) {
-            expectLayoutsEqual(program, got.layouts[a],
-                               reference.layouts[a],
-                               std::string(variant.what) + " " +
-                                   algorithms[a]->name());
-            EXPECT_EQ(got.misses[a], reference.misses[a])
-                << variant.what << " " << algorithms[a]->name();
-        }
     }
 }
 

@@ -16,7 +16,6 @@
 #include "topo/resilience/resilience.hh"
 #include "topo/trace/trace_binary.hh"
 #include "topo/trace/trace_io.hh"
-#include "topo/trace/trace_mmap.hh"
 #include "topo/util/error.hh"
 #include "topo/util/options.hh"
 #include "topo/util/rng.hh"
@@ -298,13 +297,12 @@ TEST(BinaryTraceV2, RejectsResourceExhaustingHeaders)
     EXPECT_EQ(codeOf([&] { readBinaryTrace(b); }), ErrCode::kCorrupt);
 }
 
-TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
+TEST(TraceFileResilience, SalvageParityWithTheStreamReader)
 {
-    // The mapped decoder must be bit-for-bit interchangeable with the
-    // stream reader on damaged files too: same salvaged records, same
-    // loss accounting, same strict-mode error class.
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
+    // Loading a damaged file must match decoding the same bytes from a
+    // stream: same strict-mode error class, same salvaged records, same
+    // loss accounting. This pins the file-read plumbing in front of the
+    // one decoder.
     Logger::global().setLevel(LogLevel::kOff);
     const std::size_t kRuns = 300;
     const Trace trace = randomTrace(20, kRuns, 21);
@@ -318,65 +316,53 @@ TEST(MmapTraceResilience, SalvageParityWithTheStreamReader)
 
     for (std::size_t keep = 8; keep < clean.size();
          keep += 1 + keep / 8) {
+        const std::string cut = clean.substr(0, keep);
         {
             std::ofstream os(path,
                              std::ios::binary | std::ios::trunc);
-            os.write(clean.data(),
-                     static_cast<std::streamsize>(keep));
+            os.write(cut.data(), static_cast<std::streamsize>(keep));
         }
-        // Strict mode: both paths reject the truncation as corrupt.
-        for (const TraceMmapMode mode :
-             {TraceMmapMode::kOn, TraceMmapMode::kOff}) {
-            TraceReadOptions strict;
-            strict.mmap = mode;
-            EXPECT_EQ(codeOf([&] { loadBinaryTrace(path, strict); }),
-                      ErrCode::kCorrupt)
-                << "cut " << keep;
-        }
-        // Recover mode: identical salvage on both paths.
-        auto salvage = [&](TraceMmapMode mode, TraceRecovery &report) {
-            TraceReadOptions ropts;
-            ropts.recover = true;
-            ropts.report = &report;
-            ropts.mmap = mode;
-            return loadBinaryTrace(path, ropts);
-        };
-        TraceRecovery mapped_report, stream_report;
-        const Trace mapped =
-            salvage(TraceMmapMode::kOn, mapped_report);
-        const Trace streamed =
-            salvage(TraceMmapMode::kOff, stream_report);
-        ASSERT_EQ(mapped.size(), streamed.size()) << "cut " << keep;
-        for (std::size_t i = 0; i < mapped.size(); ++i) {
-            ASSERT_EQ(mapped.events()[i], streamed.events()[i])
+        EXPECT_EQ(codeOf([&] { loadAnyTrace(path); }),
+                  ErrCode::kCorrupt)
+            << "cut " << keep;
+
+        TraceRecovery file_report, stream_report;
+        TraceReadOptions ropts;
+        ropts.recover = true;
+        ropts.report = &file_report;
+        const Trace from_file = loadAnyTrace(path, ropts);
+        ropts.report = &stream_report;
+        std::istringstream in(cut);
+        const Trace from_stream = readBinaryTrace(in, ropts);
+        ASSERT_EQ(from_file.size(), from_stream.size())
+            << "cut " << keep;
+        for (std::size_t i = 0; i < from_file.size(); ++i) {
+            ASSERT_EQ(from_file.events()[i], from_stream.events()[i])
                 << "record " << i << " cut " << keep;
         }
-        EXPECT_EQ(mapped_report.recovered, stream_report.recovered);
-        EXPECT_EQ(mapped_report.chunks_recovered,
+        EXPECT_EQ(file_report.recovered, stream_report.recovered);
+        EXPECT_EQ(file_report.chunks_recovered,
                   stream_report.chunks_recovered)
             << "cut " << keep;
-        EXPECT_EQ(mapped_report.records_recovered,
+        EXPECT_EQ(file_report.records_recovered,
                   stream_report.records_recovered)
             << "cut " << keep;
-        EXPECT_EQ(mapped_report.records_dropped,
+        EXPECT_EQ(file_report.records_dropped,
                   stream_report.records_dropped)
             << "cut " << keep;
-        EXPECT_EQ(mapped_report.records_recovered +
-                      mapped_report.records_dropped,
+        EXPECT_EQ(file_report.records_recovered +
+                      file_report.records_dropped,
                   kRuns)
             << "cut " << keep;
     }
 }
 
-TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
+TEST(TraceFileResilience, ArmedFaultPlanFiresOnFileLoads)
 {
-    // The stream reader hosts all trace-level injection hooks, so an
-    // armed plan must route kAuto loads through it. throw_io at p=1
-    // makes the routing observable: the stream header hook fires (and
-    // throws) on the very first read, while the mapped decoder has no
-    // hooks and reads the same clean file successfully.
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
+    // File loads go through the decoder that hosts the trace-level
+    // injection hooks: throw_io at p=1 fires at trace_binary.header on
+    // the first read, and the same file loads cleanly once the plan is
+    // cleared.
     const Trace trace = randomTrace(8, 200, 13);
     const ScopedTempDir tmp;
     const std::string path = tmp.file("fault.tpb");
@@ -385,21 +371,10 @@ TEST(MmapTraceResilience, ArmedFaultPlanForcesTheStreamPath)
     FaultPlan plan;
     plan.arm(FaultKind::kThrowIo, 1.0, 1);
     installFaultPlan(plan);
-    TraceReadOptions auto_opts; // kAuto
-    EXPECT_FALSE(traceMmapEligible(auto_opts));
-    EXPECT_EQ(codeOf([&] { loadBinaryTrace(path, auto_opts); }),
-              ErrCode::kCorrupt);
-    // Explicit kOn bypasses the plan check and decodes the mapping.
-    TraceReadOptions pin_opts;
-    pin_opts.mmap = TraceMmapMode::kOn;
-    EXPECT_TRUE(traceMmapEligible(pin_opts));
-    const Trace mapped = loadBinaryTrace(path, pin_opts);
-    EXPECT_EQ(mapped.size(), trace.size());
+    EXPECT_EQ(codeOf([&] { loadAnyTrace(path); }), ErrCode::kCorrupt);
     clearFaultPlan();
 
-    // With the plan gone, kAuto maps again and agrees with the file.
-    EXPECT_TRUE(traceMmapEligible(auto_opts));
-    const Trace back = loadBinaryTrace(path, auto_opts);
+    const Trace back = loadAnyTrace(path);
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(back.events()[i], trace.events()[i]);
@@ -494,6 +469,30 @@ TEST(ChunkScan, MapsChunksForTargetedDrops)
     EXPECT_EQ(records, 100u);
     EXPECT_EQ(chunks.back().end, bytes.size());
     EXPECT_EQ(codeOf([] { scanBinaryTraceChunks("topo-trace v1 3"); }),
+              ErrCode::kCorrupt);
+
+    // A chunk's payload_bytes must not wrap the bounds check. Image:
+    // v2 header (1 proc, 1 run), then a 1-record chunk whose
+    // payload_bytes varint is followed by @p tail zero bytes.
+    auto chunkImage = [](std::uint64_t payload_bytes, std::size_t tail) {
+        std::string image("TOPB\x02\x01\x01\x01", 8);
+        for (; payload_bytes >= 0x80; payload_bytes >>= 7) {
+            image.push_back(
+                static_cast<char>(0x80 | (payload_bytes & 0x7f)));
+        }
+        image.push_back(static_cast<char>(payload_bytes));
+        image.append(tail, '\0');
+        return image;
+    };
+    // pos + 4 + (2^64 - 1) lands exactly on the end of this image.
+    const std::string wrap_to_end = chunkImage(~std::uint64_t{0}, 3);
+    ASSERT_EQ(wrap_to_end.size(), 21u);
+    ASSERT_EQ(codeOf([&] { scanBinaryTraceChunks(wrap_to_end); }),
+              ErrCode::kCorrupt);
+    // pos + 4 + payload_bytes wraps back to the chunk's own offset (7).
+    const std::string wrap_to_self =
+        chunkImage(~std::uint64_t{0} - 14, 4);
+    EXPECT_EQ(codeOf([&] { scanBinaryTraceChunks(wrap_to_self); }),
               ErrCode::kCorrupt);
 }
 

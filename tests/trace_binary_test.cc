@@ -6,14 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "topo/obs/metrics.hh"
 #include "topo/trace/trace_binary.hh"
 #include "topo/trace/trace_io.hh"
-#include "topo/trace/trace_mmap.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 
@@ -108,6 +105,25 @@ TEST(BinaryTrace, DetectsCorruption)
         ss.put(1);  // length
         EXPECT_THROW(readBinaryTrace(ss), TopoError);
     }
+    {
+        // A delta of 2^63 - 1 after proc 1 must be rejected without
+        // signed overflow (UBSan flags the overflow itself).
+        std::stringstream ss;
+        ss.write("TOPB", 4);
+        ss.put(1);  // version
+        ss.put(4);  // proc_count
+        ss.put(2);  // run_count
+        ss.put(2);  // zigzag(1): proc 1
+        ss.put(0);  // offset
+        ss.put(1);  // length
+        ss.put(static_cast<char>(0xFE)); // zigzag(2^63 - 1) = 2^64 - 2
+        for (int i = 0; i < 8; ++i)
+            ss.put(static_cast<char>(0xFF));
+        ss.put(1);
+        ss.put(0);  // offset
+        ss.put(1);  // length
+        EXPECT_THROW(readBinaryTrace(ss), TopoError);
+    }
 }
 
 TEST(BinaryTrace, FileRoundTripAndAutoDetect)
@@ -127,136 +143,26 @@ TEST(BinaryTrace, FileRoundTripAndAutoDetect)
         EXPECT_EQ(from_bin.events()[i], trace.events()[i]);
         EXPECT_EQ(from_txt.events()[i], trace.events()[i]);
     }
-    EXPECT_THROW(loadBinaryTrace("/nonexistent/x.tpb"), TopoError);
-}
 
-TEST(MmapTrace, MappedAndStreamLoadsAgree)
-{
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
-    const Trace trace = randomTrace(30, 3000, 7);
-    const ScopedTempDir tmp;
-    const std::string path = tmp.file("trace_mmap_test.tpb");
-    saveBinaryTrace(path, trace);
-
-    // Private registry so the counter assertions see only this test.
-    MetricsRegistry metrics;
-    MetricsScope scope(metrics);
-
-    TraceReadOptions mapped_opts;
-    mapped_opts.mmap = TraceMmapMode::kOn;
-    TraceReadOptions stream_opts;
-    stream_opts.mmap = TraceMmapMode::kOff;
-
-    const Trace mapped = loadBinaryTrace(path, mapped_opts);
-    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 1u);
-    const Trace streamed = loadBinaryTrace(path, stream_opts);
-    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 1u);
-
-    ASSERT_EQ(mapped.size(), trace.size());
-    ASSERT_EQ(streamed.size(), trace.size());
-    EXPECT_EQ(mapped.procCount(), streamed.procCount());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_EQ(mapped.events()[i], trace.events()[i]);
-        ASSERT_EQ(streamed.events()[i], trace.events()[i]);
+    // A missing file is a user error that names the path.
+    const std::string missing = tmp.file("missing.tpb");
+    try {
+        loadAnyTrace(missing);
+        ADD_FAILURE() << "expected a TopoError";
+    } catch (const TopoError &err) {
+        EXPECT_EQ(err.code(), ErrCode::kUser);
+        EXPECT_NE(std::string(err.what()).find(missing),
+                  std::string::npos);
     }
-
-    // The auto-detecting loader takes the mapped path for binary magic.
-    const Trace any = loadAnyTrace(path, mapped_opts);
-    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 2u);
-    EXPECT_EQ(any.size(), trace.size());
-}
-
-TEST(MmapTrace, TextTracesFallBackToTheStreamParser)
-{
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
-    const Trace trace = randomTrace(10, 200, 8);
-    const ScopedTempDir tmp;
-    const std::string path = tmp.file("trace_mmap_test.txt");
-    saveTrace(path, trace);
-
-    MetricsRegistry metrics;
-    MetricsScope scope(metrics);
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOn;
-    const Trace back = loadAnyTrace(path, ropts);
-    // The magic sniff happens on the mapping, but the line-oriented
-    // parse itself is the stream reader's: no mapped load recorded.
-    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 0u);
-    ASSERT_EQ(back.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); i += 17)
-        EXPECT_EQ(back.events()[i], trace.events()[i]);
-}
-
-TEST(MmapTrace, EligibilityMatrixAndEnvKillSwitch)
-{
-    if (!mmapSupported())
-        GTEST_SKIP() << "no mmap on this platform";
-
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOff;
-    EXPECT_FALSE(traceMmapEligible(ropts));
-    ropts.mmap = TraceMmapMode::kOn;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-    ropts.mmap = TraceMmapMode::kAuto;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-
-    // TOPO_TRACE_MMAP=0/off is the operational kill-switch: it turns
-    // kAuto into the stream path but never overrides an explicit kOn.
-    ::setenv("TOPO_TRACE_MMAP", "0", 1);
-    EXPECT_FALSE(traceMmapEligible(ropts));
-    ::setenv("TOPO_TRACE_MMAP", "off", 1);
-    EXPECT_FALSE(traceMmapEligible(ropts));
-    ropts.mmap = TraceMmapMode::kOn;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-    ::setenv("TOPO_TRACE_MMAP", "1", 1);
-    ropts.mmap = TraceMmapMode::kAuto;
-    EXPECT_TRUE(traceMmapEligible(ropts));
-    ::unsetenv("TOPO_TRACE_MMAP");
-
-    // End-to-end: the kill-switch still yields a correct (streamed)
-    // load, with no mapped-load counter tick.
-    const Trace trace = randomTrace(6, 100, 9);
-    const ScopedTempDir tmp;
-    const std::string path = tmp.file("trace_mmap_env.tpb");
-    saveBinaryTrace(path, trace);
-    MetricsRegistry metrics;
-    MetricsScope scope(metrics);
-    ::setenv("TOPO_TRACE_MMAP", "0", 1);
-    const Trace back = loadBinaryTrace(path, ropts);
-    ::unsetenv("TOPO_TRACE_MMAP");
-    EXPECT_EQ(metrics.counter("trace.mmap_loads").value(), 0u);
-    ASSERT_EQ(back.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(back.events()[i], trace.events()[i]);
-}
-
-TEST(MmapTrace, MapFailureFallsBackToTheStreamError)
-{
-    // A missing file must produce the stream reader's canonical open
-    // error even when the mapped path is requested.
-    TraceReadOptions ropts;
-    ropts.mmap = TraceMmapMode::kOn;
-    EXPECT_THROW(loadBinaryTrace("/nonexistent/x.tpb", ropts),
-                 TopoError);
-    EXPECT_FALSE(
-        MappedFile::tryMap("/nonexistent/x.tpb").has_value());
-
-    if (!mmapSupported())
-        return;
-    // An empty file maps (zero-length) and fails identically to the
-    // stream reader: too short for any magic.
-    const ScopedTempDir tmp;
-    const std::string path = tmp.file("trace_mmap_empty.tpb");
-    { std::ofstream os(path, std::ios::binary); }
-    std::optional<MappedFile> map = MappedFile::tryMap(path);
-    ASSERT_TRUE(map.has_value());
-    EXPECT_EQ(map->size(), 0u);
-    EXPECT_THROW(loadBinaryTrace(path, ropts), TopoError);
-    TraceReadOptions stream_opts;
-    stream_opts.mmap = TraceMmapMode::kOff;
-    EXPECT_THROW(loadBinaryTrace(path, stream_opts), TopoError);
+    // An empty file is too short for either magic: corrupt input.
+    const std::string empty = tmp.file("empty.tpb");
+    { std::ofstream os(empty, std::ios::binary); }
+    try {
+        loadAnyTrace(empty);
+        ADD_FAILURE() << "expected a TopoError";
+    } catch (const TopoError &err) {
+        EXPECT_EQ(err.code(), ErrCode::kCorrupt);
+    }
 }
 
 TEST(BinaryTrace, LargeIdsAndValues)

@@ -31,10 +31,10 @@
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "topo/obs/obs.hh"
+#include "topo/resilience/durable_io.hh"
 #include "topo/resilience/resilience.hh"
 #include "topo/store/store_codec.hh"
 #include "topo/trace/trace_binary.hh"
@@ -45,16 +45,6 @@ namespace
 {
 
 using namespace topo;
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    require(is.good(), "topo_corrupt: cannot open '" + path + "'");
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-}
 
 void
 writeFileBytes(const std::string &path, const std::string &bytes)
@@ -109,7 +99,7 @@ runStore(const Options &opts)
                 std::ifstream probe(candidate, std::ios::binary);
                 if (!probe.good())
                     continue;
-                std::string bytes = readFileBytes(candidate);
+                std::string bytes = readWholeFile(candidate);
                 // generation lives at payload offset 16 => file 32.
                 if (bytes.size() < 40)
                     continue;
@@ -134,7 +124,7 @@ runStore(const Options &opts)
                    std::to_string(opts.getInt("snapshot-gen", 0) % 2) +
                    ".tps";
         }
-        std::string bytes = readFileBytes(path);
+        std::string bytes = readWholeFile(path);
         const auto off = static_cast<std::size_t>(
             opts.getInt("bitflip-snapshot", 0));
         flipBit(bytes, off,
@@ -146,7 +136,7 @@ runStore(const Options &opts)
     }
 
     const std::string journal = dir + "/journal.tpj";
-    std::string bytes = readFileBytes(journal);
+    std::string bytes = readWholeFile(journal);
     if (!opts.getString("truncate-tail", "").empty()) {
         const auto cut = static_cast<std::size_t>(
             opts.getInt("truncate-tail", 0));
@@ -186,7 +176,7 @@ run(const Options &opts)
     const std::string out_path = opts.getString("out", "");
     require(!in_path.empty() && !out_path.empty(),
             "topo_corrupt: --in and --out are required");
-    std::string bytes = readFileBytes(in_path);
+    std::string bytes = readWholeFile(in_path);
     MetricsRegistry &metrics = MetricsRegistry::global();
     metrics.counter("corrupt.bytes_in").add(bytes.size());
 
