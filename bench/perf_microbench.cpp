@@ -3,7 +3,7 @@
  * Microbenchmarks (google-benchmark) for the Section 4.4 practicality
  * claims: TRG construction throughput, merge_nodes cost as P and C
  * grow (the paper's crude P^3 C^2 bound), full GBSC placement time,
- * and cache-simulation throughput.
+ * FetchStream expansion and cache-simulation throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "topo/placement/pettis_hansen.hh"
 #include "topo/profile/temporal_queue.hh"
 #include "topo/profile/trg_builder.hh"
+#include "topo/trace/fetch_stream.hh"
 #include "topo/trace/trace_binary.hh"
 #include "topo/util/flat_map.hh"
 #include "topo/util/rng.hh"
@@ -190,6 +191,25 @@ BM_CacheSimulation(benchmark::State &state)
         static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_CacheSimulation)->Unit(benchmark::kMillisecond);
+
+void
+BM_FetchStreamBuild(benchmark::State &state)
+{
+    // The trace-to-line-id expansion every exact replay starts from:
+    // a validating pass that sizes the stream, then the fill.
+    const Scenario &s = scenario(64);
+    const std::uint32_t line_bytes = CacheConfig::paperDefault().line_bytes;
+    std::size_t refs = 0;
+    for (auto _ : state) {
+        const FetchStream stream(s.model.program, s.trace, line_bytes);
+        refs = stream.size();
+        benchmark::DoNotOptimize(refs);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(s.trace.size()));
+}
+BENCHMARK(BM_FetchStreamBuild)->Unit(benchmark::kMillisecond);
 
 void
 BM_TemporalQueueReference(benchmark::State &state)

@@ -34,6 +34,8 @@ TrgAccumulator::TrgAccumulator(const Program &program,
     : program_(program),
       chunks_(chunks),
       options_(options),
+      select_nodes_(options.build_select ? program.procCount() : 0),
+      place_nodes_(options.build_place ? chunks.chunkCount() : 0),
       proc_q_(procSizes(program), options.byte_budget),
       chunk_q_(chunkSizes(chunks), options.byte_budget),
       last_chunk_(static_cast<ChunkId>(~0u))
@@ -50,11 +52,8 @@ void
 TrgAccumulator::reset()
 {
     result_ = TrgBuildResult{};
-    result_.select = WeightedGraph(options_.build_select
-                                       ? program_.procCount()
-                                       : 0);
-    result_.place =
-        WeightedGraph(options_.build_place ? chunks_.chunkCount() : 0);
+    select_counts_ = EdgeCounts{};
+    place_counts_ = EdgeCounts{};
     proc_q_.clear();
     chunk_q_.clear();
     queue_size_sum_ = 0;
@@ -86,10 +85,17 @@ TrgAccumulator::merge(const TrgAccumulator &other)
                 other.options_.build_place == options_.build_place &&
                 other.options_.byte_budget == options_.byte_budget,
             "TrgAccumulator::merge: incompatible build options");
-    if (options_.build_select)
-        result_.select.addGraph(other.result_.select);
-    if (options_.build_place)
-        result_.place.addGraph(other.result_.place);
+    require(other.select_nodes_ == select_nodes_ &&
+                other.place_nodes_ == place_nodes_,
+            "TrgAccumulator::merge: node count mismatch");
+    other.select_counts_.forEach([this](std::uint64_t key,
+                                        std::uint64_t count) {
+        select_counts_[key] += count;
+    });
+    other.place_counts_.forEach([this](std::uint64_t key,
+                                       std::uint64_t count) {
+        place_counts_[key] += count;
+    });
     result_.proc_steps += other.result_.proc_steps;
     queue_size_sum_ += other.queue_size_sum_;
     merged_proc_evictions_ +=
@@ -116,7 +122,7 @@ TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
         const bool had_prev = proc_q_.reference(proc, between_);
         if (had_prev && options_.build_select) {
             for (BlockId q : between_)
-                result_.select.addWeight(proc, q, 1.0);
+                ++select_counts_[WeightedGraph::packEdge(proc, q)];
         }
         ++result_.proc_steps;
         queue_size_sum_ += proc_q_.size();
@@ -136,7 +142,7 @@ TrgAccumulator::onRun(ProcId proc, std::uint32_t offset,
             const bool had_prev = chunk_q_.reference(chunk, between_);
             if (had_prev) {
                 for (BlockId q : between_)
-                    result_.place.addWeight(chunk, q, 1.0);
+                    ++place_counts_[WeightedGraph::packEdge(chunk, q)];
             }
             last_chunk_ = chunk;
         }
@@ -164,6 +170,9 @@ TrgAccumulator::take()
         merged_proc_evictions_ + proc_q_.evictionCount();
     result_.chunk_evictions =
         merged_chunk_evictions_ + chunk_q_.evictionCount();
+    result_.select =
+        WeightedGraph::fromCounts(select_nodes_, select_counts_);
+    result_.place = WeightedGraph::fromCounts(place_nodes_, place_counts_);
     TrgBuildResult out = std::move(result_);
     reset();
     return out;

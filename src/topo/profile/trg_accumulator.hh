@@ -57,12 +57,12 @@ class TrgAccumulator
 
     /**
      * Fold another accumulator's session into this one: TRG edge
-     * weights add element-wise, step/eviction/queue-size statistics
-     * sum. Associative, and with shards seeded via seedState the
-     * left-to-right fold over shard accumulators equals the serial
-     * walk exactly (weights are integer-valued counts below 2^53, so
-     * FP addition is exact). The other accumulator's session state is
-     * left untouched.
+     * counts add element-wise, step/eviction/queue-size statistics
+     * sum. Both sessions must have the same node counts. The counts
+     * are integers, so the fold is exactly associative, and with
+     * shards seeded via seedState the left-to-right fold over shard
+     * accumulators equals the serial walk exactly. The other
+     * accumulator's session state is left untouched.
      */
     void merge(const TrgAccumulator &other);
 
@@ -70,16 +70,26 @@ class TrgAccumulator
     std::uint64_t procSteps() const { return result_.proc_steps; }
 
     /**
-     * Finish the session and surrender the graphs. The accumulator is
-     * left empty; further onRun calls start a fresh session.
+     * Finish the session and surrender the graphs, built once from
+     * the edge counts. The accumulator is left empty; further onRun
+     * calls start a fresh session.
      */
     TrgBuildResult take();
 
   private:
+    /** Edge counts keyed by WeightedGraph::packEdge(). */
+    using EdgeCounts = util::FlatMap<std::uint64_t, std::uint64_t>;
+
     const Program &program_;
     const ChunkMap &chunks_;
     TrgBuildOptions options_;
+    /** Session statistics; the graphs are filled in by take(). */
     TrgBuildResult result_;
+    /** Node counts of TRG_select / TRG_place (0 = not built). */
+    std::size_t select_nodes_;
+    std::size_t place_nodes_;
+    EdgeCounts select_counts_;
+    EdgeCounts place_counts_;
     TemporalQueue proc_q_;
     TemporalQueue chunk_q_;
     std::vector<BlockId> between_;

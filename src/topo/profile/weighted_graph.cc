@@ -75,15 +75,6 @@ WeightedGraph::checkNode(BlockId id) const
     require(id < node_count_, "WeightedGraph: node id out of range");
 }
 
-std::uint64_t
-WeightedGraph::packEdge(BlockId u, BlockId v)
-{
-    const BlockId lo = std::min(u, v);
-    const BlockId hi = std::max(u, v);
-    return (static_cast<std::uint64_t>(lo) << 32) |
-           static_cast<std::uint64_t>(hi);
-}
-
 void
 WeightedGraph::invalidate()
 {
@@ -212,6 +203,20 @@ WeightedGraph::addGraph(const WeightedGraph &other, double factor)
             "WeightedGraph::addGraph: node count mismatch");
     for (const Edge &e : other.edges())
         addWeight(e.u, e.v, e.weight * factor);
+}
+
+WeightedGraph
+WeightedGraph::fromCounts(
+    std::size_t node_count,
+    const util::FlatMap<std::uint64_t, std::uint64_t> &counts)
+{
+    WeightedGraph graph(node_count);
+    counts.forEach([&](std::uint64_t key, std::uint64_t count) {
+        graph.addWeight(static_cast<BlockId>(key >> 32),
+                        static_cast<BlockId>(key),
+                        static_cast<double>(count));
+    });
+    return graph;
 }
 
 double

@@ -117,12 +117,28 @@ class WeightedGraph
      */
     void addGraph(const WeightedGraph &other, double factor = 1.0);
 
+    /** Key of edge {u, v}: (min(u, v) << 32) | max(u, v). */
+    static std::uint64_t
+    packEdge(BlockId u, BlockId v)
+    {
+        return u < v ? (static_cast<std::uint64_t>(u) << 32) | v
+                     : (static_cast<std::uint64_t>(v) << 32) | u;
+    }
+
+    /**
+     * Graph whose edge weights are integer counts keyed by packEdge().
+     * Accumulators that only ever add 1 count in integers and convert
+     * once here; double(count) equals the sum of the unit increments.
+     */
+    static WeightedGraph
+    fromCounts(std::size_t node_count,
+               const util::FlatMap<std::uint64_t, std::uint64_t> &counts);
+
   private:
     /** The frozen sorted-adjacency snapshot (defined in the .cc). */
     struct Csr;
 
     void checkNode(BlockId id) const;
-    static std::uint64_t packEdge(BlockId u, BlockId v);
     const Csr &frozen() const;
     void invalidate();
 

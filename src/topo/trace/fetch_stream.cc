@@ -33,16 +33,16 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
             proc_of_line_[id] = static_cast<ProcId>(p);
     }
 
-    // Fault hook armed once outside the loop so the common case stays
-    // a pure expansion; the periodic check keeps the injected-error
+    // Pass 1 validates every run and sizes the stream exactly. The
+    // fault hook is armed once outside the loop so the common case
+    // stays a pure check; the periodic check keeps the injected-error
     // path (mid-expansion failure) exercisable without a per-event
     // cost when armed.
     const bool faulty = faultArmed(FaultKind::kThrowIo);
-    // Estimate: most runs span a couple of lines.
-    line_ids_.reserve(trace.size() * 2);
-    runs_.reserve(trace.size());
+    const std::vector<TraceEvent> &events = trace.events();
     std::size_t processed = 0;
-    for (const TraceEvent &ev : trace.events()) {
+    std::size_t total_refs = 0;
+    for (const TraceEvent &ev : events) {
         if (faulty && (++processed & 0xFF) == 0)
             faultMaybeThrowIo("fetch_stream");
         requireData(ev.proc < program.procCount(),
@@ -51,19 +51,26 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
             static_cast<std::uint64_t>(ev.offset) + ev.length;
         requireData(end <= program.proc(ev.proc).size_bytes,
                     "FetchStream: run exceeds procedure bounds");
-        const std::uint32_t base = line_base_[ev.proc];
-        const std::uint32_t first = ev.offset / line_bytes;
-        const std::uint32_t last =
-            static_cast<std::uint32_t>((end - 1) / line_bytes);
-        const std::uint32_t first_id = base + first;
-        const std::uint32_t count = last - first + 1;
-        if (!runs_.empty() && runs_.back().first_line == first_id &&
+        total_refs += (end - 1) / line_bytes - ev.offset / line_bytes + 1;
+    }
+
+    // Pass 2 fills the validated stream without further checks.
+    line_ids_.resize(total_refs);
+    runs_.reserve(events.size());
+    std::uint32_t *out = line_ids_.data();
+    for (const TraceEvent &ev : events) {
+        const std::uint32_t first = line_base_[ev.proc] +
+                                    ev.offset / line_bytes;
+        const std::uint32_t count =
+            (ev.offset + ev.length - 1) / line_bytes -
+            ev.offset / line_bytes + 1;
+        if (!runs_.empty() && runs_.back().first_line == first &&
             runs_.back().line_count == count)
             ++runs_.back().repeats;
         else
-            runs_.push_back(FetchRun{first_id, count, 1});
-        for (std::uint32_t line = first; line <= last; ++line)
-            line_ids_.push_back(base + line);
+            runs_.push_back(FetchRun{first, count, 1});
+        for (std::uint32_t i = 0; i < count; ++i)
+            *out++ = first + i;
     }
 }
 

@@ -28,10 +28,12 @@ Trace::validate(const Program &program) const
                 "Trace::validate: invalid procedure id");
         const Procedure &p = program.proc(ev.proc);
         require(ev.length > 0, "Trace::validate: zero-length run");
-        require(static_cast<std::uint64_t>(ev.offset) + ev.length <=
-                    p.size_bytes,
-                "Trace::validate: run exceeds bounds of procedure '" +
-                    p.name + "'");
+        // The message names the procedure, so it is composed only
+        // when the check fails.
+        if (static_cast<std::uint64_t>(ev.offset) + ev.length >
+            p.size_bytes) [[unlikely]]
+            fail("Trace::validate: run exceeds bounds of procedure '" +
+                 p.name + "'");
     }
 }
 

@@ -23,6 +23,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace topo
 {
@@ -92,26 +93,32 @@ class TopoError : public std::runtime_error
 /**
  * Check a caller-facing precondition; throws TopoError on failure.
  *
+ * The message is a view, so a passing check costs only the compare
+ * and branch: the std::string is built inside the failure branch. A
+ * message concatenated at the call site is still built on every call,
+ * so per-element paths compose theirs in their own failure branch
+ * (DESIGN.md §11).
+ *
  * @param cond Condition that must hold.
  * @param msg  Message used when the condition does not hold.
  */
 inline void
-require(bool cond, const std::string &msg)
+require(bool cond, std::string_view msg)
 {
-    if (!cond)
-        fail(msg);
+    if (!cond) [[unlikely]]
+        fail(std::string(msg));
 }
 
 /**
  * Check a property of external input data; throws a corrupt-input
- * TopoError (exit code 2) on failure.
+ * TopoError (exit code 2) on failure. Allocates nothing when the
+ * check passes.
  */
 inline void
-requireData(bool cond, const std::string &msg,
-            const std::string &context = "")
+requireData(bool cond, std::string_view msg, std::string_view context = {})
 {
-    if (!cond)
-        failCorrupt(msg, context);
+    if (!cond) [[unlikely]]
+        failCorrupt(std::string(msg), std::string(context));
 }
 
 } // namespace topo

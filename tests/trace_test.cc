@@ -53,6 +53,22 @@ TEST(Trace, ValidateCatchesOutOfBounds)
     EXPECT_THROW(t.validate(p), TopoError);
 }
 
+TEST(Trace, ValidateFailureNamesTheProcedure)
+{
+    const Program p = makeProgram();
+    Trace t(p.procCount());
+    t.append(0, 0, 100);
+    t.append(1, 60, 8); // 60+8 > 64
+    try {
+        t.validate(p);
+        FAIL() << "validate accepted an out-of-bounds run";
+    } catch (const TopoError &e) {
+        EXPECT_EQ(e.code(), ErrCode::kUser);
+        EXPECT_STREQ(e.what(), "Trace::validate: run exceeds bounds of "
+                               "procedure 'g'");
+    }
+}
+
 TEST(FetchStream, ExpandsRunsToLines)
 {
     const Program p = makeProgram();

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "topo/profile/trg_accumulator.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/wcg_builder.hh"
+#include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 #include "topo/workload/figure1.hh"
 
@@ -171,6 +173,48 @@ TEST(Trg, ChunkGranularityConnectsChunksNotJustProcs)
     EXPECT_GT(trg.place.weight(f1, g0), 0.0);
     // Within one pass through f, f0 is not between two f0 references.
     EXPECT_GT(trg.place.weight(f0, f1), 0.0);
+}
+
+TEST(TrgAccumulator, MergeRejectsMismatchedNodeCounts)
+{
+    Program small("small");
+    small.addProcedure("f", 32);
+    small.addProcedure("g", 32);
+    Program large("large");
+    for (const char *name : {"f", "g", "h"})
+        large.addProcedure(name, 32);
+    // Same procedure count, more chunks: only TRG_place differs.
+    Program wide("wide");
+    wide.addProcedure("f", 32);
+    wide.addProcedure("g", 600);
+    const ChunkMap small_chunks(small, 256);
+    const ChunkMap large_chunks(large, 256);
+    const ChunkMap wide_chunks(wide, 256);
+    const TrgBuildOptions opts;
+
+    TrgAccumulator acc(small, small_chunks, opts);
+    const TrgAccumulator larger(large, large_chunks, opts);
+    const TrgAccumulator wider(wide, wide_chunks, opts);
+    for (const TrgAccumulator *other : {&larger, &wider}) {
+        try {
+            acc.merge(*other);
+            FAIL() << "merge accepted a different node count";
+        } catch (const TopoError &e) {
+            EXPECT_EQ(e.code(), ErrCode::kUser);
+            EXPECT_STREQ(e.what(),
+                         "TrgAccumulator::merge: node count mismatch");
+        }
+    }
+
+    // Same program, one side building only TRG_place: the option
+    // check fires first.
+    TrgBuildOptions place_only = opts;
+    place_only.build_select = false;
+    const TrgAccumulator partial(small, small_chunks, place_only);
+    EXPECT_THROW(acc.merge(partial), TopoError);
+
+    const TrgAccumulator twin(small, small_chunks, opts);
+    EXPECT_NO_THROW(acc.merge(twin));
 }
 
 TEST(Trg, AverageQueueSizeReported)
