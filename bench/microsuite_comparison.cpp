@@ -10,13 +10,10 @@
 
 #include "topo/cache/attribution.hh"
 #include "topo/cache/simulate.hh"
-#include "topo/eval/experiment.hh"
+#include "topo/eval/trace_profile.hh"
 #include "topo/placement/cache_coloring.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/pettis_hansen.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/util/table.hh"
 #include "topo/workload/microsuite.hh"
 
@@ -33,27 +30,10 @@ main()
                      "default's worst conflict"});
     std::vector<std::pair<std::string, std::string>> lessons;
     for (const MicroCase &mc : microsuite()) {
-        const ChunkMap chunks(mc.program, 256);
-        const TraceStats stats = computeTraceStats(mc.program, mc.trace);
-        const PopularSet popular = selectPopular(mc.program, stats);
-        const WeightedGraph wcg = buildWcg(mc.program, mc.trace);
-        TrgBuildOptions opts;
-        opts.byte_budget = 2 * mc.cache.size_bytes;
-        opts.popular = &popular.mask;
-        const TrgBuildResult trgs =
-            buildTrgs(mc.program, chunks, mc.trace, opts);
-
-        PlacementContext ctx;
-        ctx.program = &mc.program;
-        ctx.cache = mc.cache;
-        ctx.chunks = &chunks;
-        ctx.wcg = &wcg;
-        ctx.trg_select = &trgs.select;
-        ctx.trg_place = &trgs.place;
-        ctx.popular = popular.mask;
-        ctx.heat.assign(mc.program.procCount(), 0.0);
-        for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-            ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+        EvalOptions eval;
+        eval.cache = mc.cache;
+        const TraceProfile profile(mc.program, mc.trace, eval);
+        const PlacementContext ctx = profile.context();
 
         const FetchStream stream(mc.program, mc.trace,
                                  mc.cache.line_bytes);

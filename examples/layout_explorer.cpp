@@ -8,6 +8,7 @@
  *                        [--cache-kb=8] [--emit-script=PATH]
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 

@@ -170,6 +170,12 @@ grep -q '"topo_bench": 1' "$WORK/BENCH_smoke.json" || {
     > /dev/null || {
     echo "FAIL: BENCH json does not parse"; exit 1; }
 
+echo "== paper outputs =="
+# Every table/figure/section/ablation/extension bench binary and the
+# microsuite comparison must run to completion on a small input.
+scripts/paper_outputs.sh "$BUILD" "$WORK/paper" || {
+    echo "FAIL: a paper bench binary failed"; exit 1; }
+
 echo "== sampling gate =="
 # Representative-interval sampling (DESIGN.md §15): across the full
 # suite x {ph,gbsc}, the sampled estimate must stay within 2% absolute

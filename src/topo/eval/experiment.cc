@@ -5,8 +5,6 @@
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/profile/perturb.hh"
-#include "topo/profile/wcg_builder.hh"
-#include "topo/sampling/sampled_profile.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 #include "topo/workload/trace_synthesizer.hh"
@@ -16,26 +14,6 @@ namespace topo
 
 namespace
 {
-
-TrgBuildOptions
-trgOptionsOf(const EvalOptions &options, const std::vector<bool> &popular)
-{
-    TrgBuildOptions build;
-    build.byte_budget = static_cast<std::uint64_t>(
-        options.q_budget_factor * options.cache.size_bytes);
-    require(build.byte_budget > 0, "ProfileBundle: zero Q budget");
-    build.popular = &popular;
-    return build;
-}
-
-TrgBuildResult
-runTrgBuild(const Program &program, const ChunkMap &chunks,
-            const Trace &trace, const EvalOptions &options,
-            const std::vector<bool> &popular)
-{
-    return buildTrgs(program, chunks, trace,
-                     trgOptionsOf(options, popular));
-}
 
 /**
  * Expand the fetch stream only on the exact path. A sampled bundle
@@ -56,85 +34,31 @@ makeEvalStream(const Program &program, const Trace &trace,
 ProfileBundle::ProfileBundle(const BenchmarkCase &bench,
                              const EvalOptions &options)
     : name_(bench.name),
-      options_(options),
       program_(bench.model.program),
       train_trace_(synthesizeTrace(bench.model, bench.train)),
       test_trace_(synthesizeTrace(bench.model, bench.test)),
-      train_stats_(computeTraceStats(program_, train_trace_)),
-      popular_(selectPopular(program_, train_stats_, options.popularity)),
-      chunks_(program_, options.chunk_bytes),
       train_stream_(makeEvalStream(program_, train_trace_,
                                    options.cache.line_bytes,
                                    options.sampling.active())),
       test_stream_(makeEvalStream(program_, test_trace_,
                                   options.cache.line_bytes,
-                                  options.sampling.active()))
+                                  options.sampling.active())),
+      profile_(program_, train_trace_, options)
 {
-    options_.cache.validate();
     if (sampled()) {
-        require(!options_.build_pairs,
-                "ProfileBundle: the pair database has no sampled "
-                "build; drop --pairs or --sample");
-        train_plan_ = std::make_unique<SamplePlan>(buildSamplePlan(
-            program_, train_trace_, options_.cache.line_bytes,
-            options_.sampling));
-        test_plan_ = std::make_unique<SamplePlan>(buildSamplePlan(
-            program_, test_trace_, options_.cache.line_bytes,
-            options_.sampling));
-        SampledProfileResult profile = buildSampledProfile(
-            program_, chunks_, train_trace_, *train_plan_,
-            trgOptionsOf(options_, popular_.mask));
-        wcg_ = std::move(profile.wcg);
-        trg_select_ = std::move(profile.trg_select);
-        trg_place_ = std::move(profile.trg_place);
-        avg_queue_procs_ = profile.avg_queue_procs;
-    } else {
-        wcg_ = buildWcg(program_, train_trace_);
-        TrgBuildResult trgs = runTrgBuild(program_, chunks_, train_trace_,
-                                          options_, popular_.mask);
-        trg_select_ = std::move(trgs.select);
-        trg_place_ = std::move(trgs.place);
-        avg_queue_procs_ = trgs.avg_queue_procs;
-    }
-    if (options_.build_pairs) {
-        PairBuildOptions pair_opts;
-        pair_opts.byte_budget = static_cast<std::uint64_t>(
-            options_.q_budget_factor * options_.cache.size_bytes);
-        pair_opts.pair_window = options_.pair_window;
-        pair_opts.popular = &popular_.mask;
-        pairs_ = buildPairDatabase(program_, train_trace_, pair_opts);
-        if (options_.pair_prune > 0.0)
-            pairs_.prune(options_.pair_prune);
+        test_plan_ = std::make_unique<SamplePlan>(
+            buildSamplePlan(program_, test_trace_,
+                            options.cache.line_bytes, options.sampling));
     }
     MetricsRegistry::current().counter("eval.bundles").add();
     if (logEnabled(LogLevel::kDebug)) {
         logDebug("eval", "profile bundle ready",
                  {{"benchmark", name_},
                   {"procs", program_.procCount()},
-                  {"popular", popular_.count},
+                  {"popular", popular().count},
                   {"train_events", train_trace_.size()},
                   {"test_events", test_trace_.size()}});
     }
-}
-
-PlacementContext
-ProfileBundle::makeContext(const WeightedGraph *wcg,
-                           const WeightedGraph *trg_select,
-                           const WeightedGraph *trg_place) const
-{
-    PlacementContext ctx;
-    ctx.program = &program_;
-    ctx.cache = options_.cache;
-    ctx.chunks = &chunks_;
-    ctx.wcg = wcg ? wcg : &wcg_;
-    ctx.trg_select = trg_select ? trg_select : &trg_select_;
-    ctx.trg_place = trg_place ? trg_place : &trg_place_;
-    ctx.pairs = &pairs_;
-    ctx.popular = popular_.mask;
-    ctx.heat.assign(program_.procCount(), 0.0);
-    for (std::size_t i = 0; i < program_.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(train_stats_.bytes_fetched[i]);
-    return ctx;
 }
 
 double
@@ -142,7 +66,7 @@ ProfileBundle::testMissRate(const Layout &layout) const
 {
     require(!sampled(), "ProfileBundle: testMissRate on a sampled "
                         "bundle; use sampledTestResult");
-    return layoutMissRate(program_, layout, test_stream_, options_.cache);
+    return layoutMissRate(program_, layout, test_stream_, options().cache);
 }
 
 double
@@ -150,38 +74,29 @@ ProfileBundle::trainMissRate(const Layout &layout) const
 {
     require(!sampled(), "ProfileBundle: trainMissRate on a sampled "
                         "bundle; use sampledTestResult");
-    return layoutMissRate(program_, layout, train_stream_, options_.cache);
+    return layoutMissRate(program_, layout, train_stream_, options().cache);
 }
 
 const SamplePlan &
 ProfileBundle::testPlan() const
 {
-    require(sampled() && test_plan_,
-            "ProfileBundle: testPlan on an exact bundle");
+    require(sampled(), "ProfileBundle: testPlan on an exact bundle");
     return *test_plan_;
-}
-
-const SamplePlan &
-ProfileBundle::trainPlan() const
-{
-    require(sampled() && train_plan_,
-            "ProfileBundle: trainPlan on an exact bundle");
-    return *train_plan_;
 }
 
 SampledSimResult
 ProfileBundle::sampledTestResult(const Layout &layout, bool attribute) const
 {
     return estimateLayout(program_, layout, test_trace_, testPlan(),
-                          options_.cache, attribute);
+                          options().cache, attribute);
 }
 
 SimResult
 ProfileBundle::exactTestResult(const Layout &layout, bool attribute) const
 {
     const FetchStream stream(program_, test_trace_,
-                             options_.cache.line_bytes);
-    return simulateLayout(program_, layout, stream, options_.cache,
+                             options().cache.line_bytes);
+    return simulateLayout(program_, layout, stream, options().cache,
                           attribute);
 }
 

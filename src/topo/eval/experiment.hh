@@ -13,84 +13,55 @@
 #include <string>
 #include <vector>
 
-#include "topo/cache/cache_config.hh"
 #include "topo/cache/simulate.hh"
-#include "topo/placement/placement.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/chunk_map.hh"
-#include "topo/profile/pair_database.hh"
-#include "topo/profile/trg_builder.hh"
+#include "topo/eval/trace_profile.hh"
 #include "topo/sampling/estimator.hh"
-#include "topo/sampling/sample_plan.hh"
 #include "topo/trace/fetch_stream.hh"
-#include "topo/trace/trace_stats.hh"
 #include "topo/workload/paper_suite.hh"
 
 namespace topo
 {
 
-/** Knobs of the evaluation pipeline (paper defaults). */
-struct EvalOptions
-{
-    CacheConfig cache = CacheConfig::paperDefault();
-    /** Chunk size for TRG_place (Section 4.1). */
-    std::uint32_t chunk_bytes = ChunkMap::kDefaultChunkBytes;
-    /** Q byte budget as a multiple of the cache size (Section 3). */
-    double q_budget_factor = 2.0;
-    /** Popularity selection. */
-    PopularityOptions popularity;
-    /** Build the Section 6 pair database too (costly; off by default). */
-    bool build_pairs = false;
-    /** Pair-window cap for the pair database. */
-    std::uint32_t pair_window = 16;
-    /** Prune pair-database entries below this weight. */
-    double pair_prune = 2.0;
-    /**
-     * Representative-interval sampling (DESIGN.md §15). When active,
-     * profiles and miss rates are weighted estimates over sampled
-     * trace segments, the full fetch streams are never expanded, and
-     * testMissRate/trainMissRate are replaced by sampledTestResult.
-     */
-    SamplingOptions sampling;
-};
-
 /**
- * Everything derived from one benchmark's traces that the placement
- * algorithms and simulators consume. Owns the data; hand out contexts
- * with makeContext().
+ * One benchmark's evaluation inputs: the synthesized program and
+ * traces, the TraceProfile of the training trace, and the test-side
+ * fetch streams, sample plans and miss-rate helpers. Owns the data
+ * (the profile points into it, so a bundle neither copies nor moves);
+ * hand out contexts with makeContext().
  */
 class ProfileBundle
 {
   public:
     /** Run the full profiling pipeline on a benchmark case. */
     ProfileBundle(const BenchmarkCase &bench, const EvalOptions &options);
+    ProfileBundle(const ProfileBundle &) = delete;
+    ProfileBundle &operator=(const ProfileBundle &) = delete;
 
     const std::string &name() const { return name_; }
     const Program &program() const { return program_; }
-    const EvalOptions &options() const { return options_; }
+    const EvalOptions &options() const { return profile_.options(); }
     const Trace &trainTrace() const { return train_trace_; }
     const Trace &testTrace() const { return test_trace_; }
-    const TraceStats &trainStats() const { return train_stats_; }
-    const PopularSet &popular() const { return popular_; }
-    const ChunkMap &chunks() const { return chunks_; }
-    const WeightedGraph &wcg() const { return wcg_; }
-    const WeightedGraph &trgSelect() const { return trg_select_; }
-    const WeightedGraph &trgPlace() const { return trg_place_; }
-    const PairDatabase &pairs() const { return pairs_; }
+    const TraceStats &trainStats() const { return profile_.stats(); }
+    const PopularSet &popular() const { return profile_.popular(); }
+    const ChunkMap &chunks() const { return profile_.chunks(); }
+    const WeightedGraph &wcg() const { return profile_.wcg(); }
+    const WeightedGraph &trgSelect() const { return profile_.trgSelect(); }
+    const WeightedGraph &trgPlace() const { return profile_.trgPlace(); }
+    const PairDatabase &pairs() const { return profile_.pairs(); }
     const FetchStream &trainStream() const { return train_stream_; }
     const FetchStream &testStream() const { return test_stream_; }
     /** Average procedures resident in Q during TRG build (Table 1). */
-    double avgQueueProcs() const { return avg_queue_procs_; }
+    double avgQueueProcs() const { return profile_.avgQueueProcs(); }
 
-    /**
-     * Assemble a placement context over this bundle's data. Optional
-     * overrides replace the stored graphs (used by the perturbation
-     * experiments); pointers must outlive the returned context's use.
-     */
+    /** TraceProfile::context of the training profile. */
     PlacementContext makeContext(const WeightedGraph *wcg = nullptr,
                                  const WeightedGraph *trg_select = nullptr,
                                  const WeightedGraph *trg_place = nullptr)
-        const;
+        const
+    {
+        return profile_.context(wcg, trg_select, trg_place);
+    }
 
     /** Miss rate of a layout on the testing trace. */
     double testMissRate(const Layout &layout) const;
@@ -99,13 +70,13 @@ class ProfileBundle
     double trainMissRate(const Layout &layout) const;
 
     /** Whether this bundle was built with sampling active. */
-    bool sampled() const { return options_.sampling.active(); }
+    bool sampled() const { return profile_.sampled(); }
 
     /** The testing trace's sample plan (sampled bundles only). */
     const SamplePlan &testPlan() const;
 
     /** The training trace's sample plan (sampled bundles only). */
-    const SamplePlan &trainPlan() const;
+    const SamplePlan &trainPlan() const { return profile_.plan(); }
 
     /**
      * Weighted miss estimate of a layout on the testing trace
@@ -125,22 +96,13 @@ class ProfileBundle
 
   private:
     std::string name_;
-    EvalOptions options_;
     Program program_;
     Trace train_trace_;
     Trace test_trace_;
-    TraceStats train_stats_;
-    PopularSet popular_;
-    ChunkMap chunks_;
-    WeightedGraph wcg_;
-    WeightedGraph trg_select_;
-    WeightedGraph trg_place_;
-    PairDatabase pairs_;
-    double avg_queue_procs_ = 0.0;
     FetchStream train_stream_;
     FetchStream test_stream_;
-    /** Sample plans (null unless sampling is active). */
-    std::unique_ptr<SamplePlan> train_plan_;
+    TraceProfile profile_;
+    /** The testing trace's sample plan (null unless sampled). */
     std::unique_ptr<SamplePlan> test_plan_;
 };
 

@@ -106,6 +106,7 @@ evalOptionsFrom(const Options &opts)
     eval.q_budget_factor = opts.getDouble("q-factor", 2.0);
     eval.popularity.coverage = opts.getDouble("coverage", 0.999);
     eval.cache.validate();
+    qByteBudget(eval); // reject an unusable --q-factor up front
     return eval;
 }
 

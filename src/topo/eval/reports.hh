@@ -51,7 +51,7 @@ void printFigure5Panel(std::ostream &os, const std::string &benchmark,
 /**
  * Standard evaluation options from the common command-line/environment
  * knobs: --cache-kb, --line-bytes, --assoc, --chunk-bytes, --coverage,
- * --q-factor.
+ * --q-factor. Fails (exit 1) on an invalid cache or Q budget.
  */
 EvalOptions evalOptionsFrom(const Options &opts);
 

@@ -134,9 +134,9 @@ struct Coloring
         const std::uint64_t q_lines = lines(q);
 
         std::vector<double> cost(cache_lines, 0.0);
-        // Sorted neighbours: the FP accumulation order must not depend
-        // on hash layout (DESIGN.md §9).
-        for (const auto &[n, w] : wcg.sortedNeighbors(q)) {
+        // CSR rows are id-sorted, so the FP accumulation order is
+        // fixed (DESIGN.md §9).
+        for (const auto &[n, w] : wcg.neighbors(q)) {
             if (unit_of[n] == ui)
                 accumulateConflicts(cost, n, w, q_lines);
         }
@@ -181,7 +181,7 @@ struct Coloring
         // when colour(p-line) == colour(q-line) after b is shifted to
         // start at colour s; accumulate w at the offending s.
         for (const auto &[q, q_off] : b.procs) {
-            for (const auto &[p, w] : wcg.sortedNeighbors(q)) {
+            for (const auto &[p, w] : wcg.neighbors(q)) {
                 if (unit_of[p] != ua)
                     continue;
                 const std::uint64_t p_start = start_line[p];

@@ -78,8 +78,7 @@ Gbsc::alignmentCost(const PlacementContext &ctx, const GbscNode &n1,
     const ChunkColors &mine = iterate_first ? colors1 : colors2;
     const ChunkColors &theirs = iterate_first ? colors2 : colors1;
     for (const auto &[chunk, my_colors] : mine) {
-        for (const auto &[other, weight] :
-             trg_place.sortedNeighbors(chunk)) {
+        for (const auto &[other, weight] : trg_place.neighbors(chunk)) {
             auto it = theirs.find(other);
             if (it == theirs.end())
                 continue;

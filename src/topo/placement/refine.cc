@@ -105,12 +105,11 @@ refineLayout(const PlacementContext &ctx, const Layout &base,
             for (std::uint32_t line = 0; line < len; ++line) {
                 const ChunkId chunk =
                     ctx.chunks->chunkAtLine(proc, line, line_bytes);
-                // Sorted neighbours: deterministic FP accumulation
-                // order regardless of hash layout (DESIGN.md §9).
-                // The CSR memoizes the sort, so re-querying the same
+                // CSR rows are id-sorted, so the FP accumulation order
+                // is fixed (DESIGN.md §9), and re-querying the same
                 // chunk for consecutive lines is an O(1) span lookup.
                 for (const auto &[other, weight] :
-                     trg_place.sortedNeighbors(chunk)) {
+                     trg_place.neighbors(chunk)) {
                     auto it = colors.find(other);
                     if (it == colors.end())
                         continue;

@@ -78,9 +78,6 @@ PairDatabase::entries() const
 namespace
 {
 
-/** Shards below this many events are not worth the fan-out. */
-constexpr std::size_t kMinEventsPerShard = 8192;
-
 std::vector<std::uint32_t>
 procSizesOf(const Program &program)
 {
@@ -136,9 +133,7 @@ buildPairDatabase(const Program &program, const Trace &trace,
     require(options.pair_window >= 2,
             "buildPairDatabase: pair window must be at least 2");
 
-    const std::size_t jobs = static_cast<std::size_t>(execJobs());
-    const std::size_t shard_count =
-        std::min(jobs, trace.size() / kMinEventsPerShard);
+    const std::size_t shard_count = profileShardCount(trace.size());
     PairDatabase db;
     if (shard_count <= 1) {
         collectPairs(program, trace, options, 0, trace.size(), {},

@@ -98,7 +98,7 @@ struct PairBuildOptions
 
 /**
  * Build D over *procedures* from a trace via the same ordered-set walk
- * used for TRGs. With execJobs() > 1 and a large enough trace the walk
+ * used for TRGs. Under the same profileShardCount() rule the walk
  * shards exactly like buildTrgs (planTraceShards seeds + in-order
  * merge) and stays bit-identical to the serial build.
  */

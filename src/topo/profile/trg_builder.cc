@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "topo/exec/exec.hh"
+#include "topo/exec/thread_pool.hh"
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
@@ -15,9 +16,6 @@ namespace topo
 
 namespace
 {
-
-/** Shards below this many events are not worth the plan replay. */
-constexpr std::size_t kMinEventsPerShard = 8192;
 
 std::vector<std::uint32_t>
 procSizesOf(const Program &program)
@@ -38,6 +36,15 @@ chunkSizesOf(const ChunkMap &chunks)
 }
 
 } // namespace
+
+std::size_t
+profileShardCount(std::size_t events)
+{
+    if (ThreadPool::onWorkerThread())
+        return 1;
+    // Shards below 8192 events do not amortise the plan replay.
+    return std::min(static_cast<std::size_t>(execJobs()), events / 8192);
+}
 
 TrgStateWalker::TrgStateWalker(const Program &program,
                                const ChunkMap &chunks,
@@ -129,9 +136,7 @@ buildTrgs(const Program &program, const ChunkMap &chunks, const Trace &trace,
             "buildTrgs: program/trace mismatch");
     PhaseTimer timer("trg_build");
 
-    const std::size_t jobs = static_cast<std::size_t>(execJobs());
-    const std::size_t shard_count =
-        std::min(jobs, trace.size() / kMinEventsPerShard);
+    const std::size_t shard_count = profileShardCount(trace.size());
     TrgBuildResult result;
     if (shard_count <= 1 || options.observer) {
         // Serial walk: the reference semantics. The observer hook sees

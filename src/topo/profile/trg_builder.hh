@@ -142,6 +142,15 @@ class TrgStateWalker
 };
 
 /**
+ * The shard rule shared by every profile walk (buildTrgs, buildWcg,
+ * buildPairDatabase): min(execJobs(), events / 8192) shards — smaller
+ * shards do not amortise the plan replay and the merge — and 1 on a
+ * pool lane, where parallelFor would run the shards inline and the
+ * plan and merge would be pure overhead.
+ */
+std::size_t profileShardCount(std::size_t events);
+
+/**
  * Split @p trace into @p shard_count contiguous event ranges and
  * capture, via one fast state-only replay (TemporalQueue::touch, no
  * between-list collection or edge emission), the exact queue and
@@ -159,9 +168,8 @@ planTraceShards(const Program &program, const ChunkMap &chunks,
 /**
  * Build TRG_select and/or TRG_place from a trace.
  *
- * When the execution layer is configured with more than one lane
- * (execJobs() > 1), no per-step observer is installed, and the trace
- * is large enough to amortise the shard plan, the build runs sharded:
+ * When profileShardCount() allows more than one shard and no
+ * per-step observer is installed, the build runs sharded:
  * planTraceShards + one seeded TrgAccumulator per shard on the shared
  * pool, merged in shard order. The result is bit-identical to the
  * serial walk for any jobs value.

@@ -1,12 +1,12 @@
 #include "topo/profile/wcg_builder.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "topo/exec/exec.hh"
 #include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
+#include "topo/profile/trg_builder.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -14,9 +14,6 @@ namespace topo
 
 namespace
 {
-
-/** Shards below this many events are not worth the fan-out. */
-constexpr std::size_t kMinEventsPerShard = 8192;
 
 /** Transition counts over events [begin, end), seeded with @p last. */
 void
@@ -41,9 +38,7 @@ buildWcg(const Program &program, const Trace &trace)
     PhaseTimer timer("wcg_build");
     WeightedGraph wcg(program.procCount());
     const std::vector<TraceEvent> &events = trace.events();
-    const std::size_t jobs = static_cast<std::size_t>(execJobs());
-    const std::size_t shard_count =
-        std::min(jobs, events.size() / kMinEventsPerShard);
+    const std::size_t shard_count = profileShardCount(events.size());
     if (shard_count <= 1) {
         countTransitions(events, 0, events.size(), kInvalidProc, wcg);
     } else {

@@ -22,12 +22,12 @@ namespace topo
 /**
  * Build the undirected transition-count graph from a trace.
  *
- * With execJobs() > 1 and a large enough trace the build shards: each
- * shard counts transitions over its event range seeded with the
- * procedure of the event preceding the range, and the per-shard graphs
- * are summed in shard order (WeightedGraph::addGraph — the merge law;
- * weights are integer counts, so the sum is exact and bit-identical
- * to the serial walk).
+ * When profileShardCount() allows more than one shard the build
+ * shards: each shard counts transitions over its event range seeded
+ * with the procedure of the event preceding the range, and the
+ * per-shard graphs are summed in shard order (WeightedGraph::addGraph
+ * — the merge law; weights are integer counts, so the sum is exact
+ * and bit-identical to the serial walk).
  *
  * @param program Procedure inventory (node count).
  * @param trace   The profiling trace.

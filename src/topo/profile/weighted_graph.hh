@@ -95,13 +95,6 @@ class WeightedGraph
      */
     NeighborSpan neighbors(BlockId u) const;
 
-    /**
-     * Alias of neighbors(). Historically this returned a freshly
-     * sorted copy per call; the CSR snapshot memoizes that sort, so
-     * placement inner loops now get an O(1) contiguous view.
-     */
-    NeighborSpan sortedNeighbors(BlockId u) const { return neighbors(u); }
-
     /** All edges with u < v, sorted by (u, v). */
     std::vector<Edge> edges() const;
 

@@ -6,6 +6,7 @@
 #include "topo/obs/metrics.hh"
 #include "topo/obs/phase_timer.hh"
 #include "topo/profile/trg_accumulator.hh"
+#include "topo/profile/wcg_builder.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -111,6 +112,35 @@ buildSampledProfile(const Program &program, const ChunkMap &chunks,
     metrics.counter("sampling.profiles").add();
     metrics.counter("sampling.profile_segments").add(segments.size());
     return result;
+}
+
+ProfileGraphs
+buildProfileGraphs(const Program &program, const ChunkMap &chunks,
+                   const Trace &trace, const SamplePlan *plan,
+                   const TrgBuildOptions &trg_options,
+                   const PairBuildOptions *pairs)
+{
+    ProfileGraphs graphs;
+    if (plan) {
+        require(pairs == nullptr,
+                "the pair database has no sampled build; drop the pair "
+                "database (--build-pairs) or sampling (--sample)");
+        SampledProfileResult sampled =
+            buildSampledProfile(program, chunks, trace, *plan, trg_options);
+        graphs.wcg = std::move(sampled.wcg);
+        graphs.trgs.select = std::move(sampled.trg_select);
+        graphs.trgs.place = std::move(sampled.trg_place);
+        graphs.trgs.avg_queue_procs = sampled.avg_queue_procs;
+        graphs.trgs.proc_steps = sampled.proc_steps;
+        graphs.trgs.proc_evictions = sampled.proc_evictions;
+        graphs.trgs.chunk_evictions = sampled.chunk_evictions;
+        return graphs;
+    }
+    graphs.wcg = buildWcg(program, trace);
+    graphs.trgs = buildTrgs(program, chunks, trace, trg_options);
+    if (pairs)
+        graphs.pairs = buildPairDatabase(program, trace, *pairs);
+    return graphs;
 }
 
 } // namespace topo

@@ -25,6 +25,7 @@
 #include <cstdint>
 
 #include "topo/profile/chunk_map.hh"
+#include "topo/profile/pair_database.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/profile/weighted_graph.hh"
 #include "topo/sampling/sample_plan.hh"
@@ -62,6 +63,30 @@ SampledProfileResult buildSampledProfile(const Program &program,
                                          const Trace &trace,
                                          const SamplePlan &plan,
                                          const TrgBuildOptions &options);
+
+/** The profile graphs of one trace, as buildProfileGraphs returns them. */
+struct ProfileGraphs
+{
+    /** Weighted call graph (procedure transitions). */
+    WeightedGraph wcg;
+    /** Both TRGs and the Q statistics of their walk. */
+    TrgBuildResult trgs;
+    /** Section 6 pair database (empty unless requested). */
+    PairDatabase pairs;
+};
+
+/**
+ * The one exact-or-sampled profile step. With @p plan null: buildWcg
+ * and buildTrgs over the whole trace, plus buildPairDatabase when
+ * @p pairs is given. With a plan: buildSampledProfile, whose weighted
+ * estimates fill the same fields; the pair database has no sampled
+ * build, so @p pairs must then be null.
+ */
+ProfileGraphs buildProfileGraphs(const Program &program,
+                                 const ChunkMap &chunks, const Trace &trace,
+                                 const SamplePlan *plan,
+                                 const TrgBuildOptions &trg_options,
+                                 const PairBuildOptions *pairs = nullptr);
 
 } // namespace topo
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -18,7 +19,6 @@
 #include "topo/profile/chunk_map.hh"
 #include "topo/profile/pair_database.hh"
 #include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/sampling/sampled_profile.hh"
 #include "topo/resilience/crc32.hh"
 #include "topo/resilience/durable_io.hh"
@@ -173,44 +173,26 @@ buildShardDelta(const StoreConfig &config, const std::string &label,
     topts.byte_budget = config.byte_budget;
     // No popularity mask: the popular set depends on all shards and
     // is therefore applied at placement time, not at ingest time.
+    PairBuildOptions popts;
+    popts.byte_budget = config.byte_budget;
+    popts.pair_window = config.pair_window;
+    std::unique_ptr<SamplePlan> plan;
     if (sampling.active()) {
-        require(!config.build_pairs,
-                "sampled ingest: the pair database has no sampled "
-                "build; drop pairs or sampling");
-        const SamplePlan plan = buildSamplePlan(
-            config.program, trace, config.cache.line_bytes, sampling);
-        const SampledProfileResult profile = buildSampledProfile(
-            config.program, chunks, trace, plan, topts);
-        delta.wcg = profile.wcg;
-        delta.trg_select = profile.trg_select;
-        delta.trg_place = profile.trg_place;
-        delta.queue_procs_sum =
-            profile.avg_queue_procs *
-            static_cast<double>(profile.proc_steps);
-        delta.proc_steps = profile.proc_steps;
-        delta.proc_evictions = profile.proc_evictions;
-        delta.chunk_evictions = profile.chunk_evictions;
-        return delta;
+        plan = std::make_unique<SamplePlan>(buildSamplePlan(
+            config.program, trace, config.cache.line_bytes, sampling));
     }
-
-    delta.wcg = buildWcg(config.program, trace);
-    const TrgBuildResult trgs =
-        buildTrgs(config.program, chunks, trace, topts);
-    delta.trg_select = trgs.select;
-    delta.trg_place = trgs.place;
-    delta.queue_procs_sum =
-        trgs.avg_queue_procs * static_cast<double>(trgs.proc_steps);
-    delta.proc_steps = trgs.proc_steps;
-    delta.proc_evictions = trgs.proc_evictions;
-    delta.chunk_evictions = trgs.chunk_evictions;
-
-    if (config.build_pairs) {
-        PairBuildOptions popts;
-        popts.byte_budget = config.byte_budget;
-        popts.pair_window = config.pair_window;
-        delta.pairs =
-            buildPairDatabase(config.program, trace, popts);
-    }
+    ProfileGraphs graphs =
+        buildProfileGraphs(config.program, chunks, trace, plan.get(),
+                           topts, config.build_pairs ? &popts : nullptr);
+    delta.wcg = std::move(graphs.wcg);
+    delta.trg_select = std::move(graphs.trgs.select);
+    delta.trg_place = std::move(graphs.trgs.place);
+    delta.pairs = std::move(graphs.pairs);
+    delta.queue_procs_sum = graphs.trgs.avg_queue_procs *
+                            static_cast<double>(graphs.trgs.proc_steps);
+    delta.proc_steps = graphs.trgs.proc_steps;
+    delta.proc_evictions = graphs.trgs.proc_evictions;
+    delta.chunk_evictions = graphs.trgs.chunk_evictions;
     return delta;
 }
 

@@ -107,6 +107,48 @@ grep -q '"gbsc.merge_steps"' "$WORK/place_metrics.json" || {
 grep -q "merge pass" "$WORK/place2.log" || {
     echo "FAIL: --log-level=debug shows no per-pass lines"; exit 1; }
 
+# --- Profile knobs ---------------------------------------------------
+
+# --q-factor is validated once: a non-finite or non-positive factor, or
+# a Q budget outside [1, 2^53] bytes, is a user error naming the flag.
+for bad_q in -1 nan inf 1e30 0.0001; do
+    set +e
+    "$TOOLS_DIR/topo_place" --program="$WORK/m.prog" \
+        --trace="$WORK/m.trace" --q-factor=$bad_q \
+        --out-layout="$WORK/badq.layout" > /dev/null 2> "$WORK/q.log"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: --q-factor=$bad_q exited $rc, want 1"; exit 1; }
+    grep -q -- "--q-factor" "$WORK/q.log" || {
+        echo "FAIL: --q-factor=$bad_q error does not name the option"
+        exit 1; }
+done
+
+# topo_report --microsuite profiles every case with the profile flags
+# (a finer chunk grows TRG_place) but on the case's own geometry, so
+# the size and line flags are rejected.
+"$TOOLS_DIR/topo_report" --microsuite \
+    --metrics-out="$WORK/micro_256.json" > /dev/null 2>&1
+"$TOOLS_DIR/topo_report" --microsuite --chunk-bytes=64 \
+    --metrics-out="$WORK/micro_64.json" > /dev/null 2>&1
+edges_256=$(grep -o '"trg.place_edges": [0-9]*' "$WORK/micro_256.json")
+edges_64=$(grep -o '"trg.place_edges": [0-9]*' "$WORK/micro_64.json")
+[ -n "$edges_256" ] && [ "$edges_256" != "$edges_64" ] || {
+    echo "FAIL: --microsuite ignored --chunk-bytes ($edges_256)"
+    exit 1; }
+for bad_geom in --cache-kb=2 --line-bytes=64; do
+    set +e
+    "$TOOLS_DIR/topo_report" --microsuite $bad_geom > /dev/null \
+        2> "$WORK/geom.log"
+    rc=$?
+    set -e
+    [ "$rc" = "1" ] || {
+        echo "FAIL: --microsuite $bad_geom exited $rc, want 1"; exit 1; }
+    grep -q "does not apply to --microsuite" "$WORK/geom.log" || {
+        echo "FAIL: --microsuite $bad_geom gave no reason"; exit 1; }
+done
+
 # --- Parallel execution --------------------------------------------
 
 # --jobs validation: zero, negative, and non-numeric values are user

@@ -297,6 +297,24 @@ TEST(Determinism, PooledProfileBuildsMatchSerial)
     }
 }
 
+TEST(Determinism, ProfileShardRuleRunsSeriallyOnAPoolLane)
+{
+    // Top-level builds shard up to the lane count; a build nested in a
+    // pool task would run its shards inline, so it does not shard.
+    setExecJobs(4);
+    EXPECT_EQ(profileShardCount(8191), 0u);
+    EXPECT_EQ(profileShardCount(2 * 8192), 2u);
+    EXPECT_EQ(profileShardCount(100 * 8192), 4u);
+    std::vector<std::size_t> nested(8, 0);
+    parallelFor(nested.size(), [&](std::size_t i) {
+        nested[i] = profileShardCount(100 * 8192);
+    });
+    setExecJobs(1);
+    EXPECT_EQ(profileShardCount(100 * 8192), 1u);
+    for (std::size_t count : nested)
+        EXPECT_EQ(count, 1u);
+}
+
 TEST(Determinism, SeededRandomPolicyIsJobsInvariantAndRepeatable)
 {
     // The random replacement policy draws from a per-cache-instance

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the evaluation harness: ProfileBundle, runComparison,
- * conflict metrics, layout offsets, and the Table 1 reporter.
+ * Tests for the evaluation harness: TraceProfile (against the layer
+ * calls it replaces), ProfileBundle, runComparison, conflict metrics,
+ * layout offsets, and the Table 1 reporter.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "topo/eval/conflict_metric.hh"
@@ -14,8 +16,13 @@
 #include "topo/placement/cache_coloring.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/pettis_hansen.hh"
+#include "topo/profile/trg_builder.hh"
+#include "topo/profile/wcg_builder.hh"
+#include "topo/sampling/sampled_profile.hh"
 #include "topo/util/error.hh"
+#include "topo/workload/microsuite.hh"
 #include "topo/workload/synthetic_program.hh"
+#include "topo/workload/trace_synthesizer.hh"
 
 namespace topo
 {
@@ -218,6 +225,174 @@ TEST(EvalOptionsParsing, ReadsKnobs)
     EXPECT_EQ(eval.chunk_bytes, 128u);
     EXPECT_DOUBLE_EQ(eval.popularity.coverage, 0.9);
     EXPECT_DOUBLE_EQ(traceScaleFrom(opts), 1.0);
+}
+
+/** The profiling recipe spelled out layer by layer: the reference. */
+struct ReferenceProfile
+{
+    PopularSet popular;
+    WeightedGraph wcg;
+    WeightedGraph trg_select;
+    WeightedGraph trg_place;
+    double avg_queue_procs = 0.0;
+    PairDatabase pairs;
+    std::vector<double> heat;
+};
+
+ReferenceProfile
+referenceProfile(const Program &program, const Trace &trace,
+                 const EvalOptions &eval)
+{
+    ReferenceProfile ref;
+    const TraceStats stats = computeTraceStats(program, trace);
+    ref.popular = selectPopular(program, stats, eval.popularity);
+    const ChunkMap chunks(program, eval.chunk_bytes);
+    TrgBuildOptions trg;
+    trg.byte_budget = static_cast<std::uint64_t>(
+        eval.q_budget_factor * eval.cache.size_bytes);
+    trg.popular = &ref.popular.mask;
+    if (eval.sampling.active()) {
+        const SamplePlan plan = buildSamplePlan(
+            program, trace, eval.cache.line_bytes, eval.sampling);
+        SampledProfileResult sampled =
+            buildSampledProfile(program, chunks, trace, plan, trg);
+        ref.wcg = std::move(sampled.wcg);
+        ref.trg_select = std::move(sampled.trg_select);
+        ref.trg_place = std::move(sampled.trg_place);
+        ref.avg_queue_procs = sampled.avg_queue_procs;
+    } else {
+        ref.wcg = buildWcg(program, trace);
+        TrgBuildResult trgs = buildTrgs(program, chunks, trace, trg);
+        ref.trg_select = std::move(trgs.select);
+        ref.trg_place = std::move(trgs.place);
+        ref.avg_queue_procs = trgs.avg_queue_procs;
+    }
+    if (eval.build_pairs) {
+        PairBuildOptions pair;
+        pair.byte_budget = trg.byte_budget;
+        pair.pair_window = eval.pair_window;
+        pair.popular = &ref.popular.mask;
+        ref.pairs = buildPairDatabase(program, trace, pair);
+        if (eval.pair_prune > 0.0)
+            ref.pairs.prune(eval.pair_prune);
+    }
+    for (const std::uint64_t bytes : stats.bytes_fetched)
+        ref.heat.push_back(static_cast<double>(bytes));
+    return ref;
+}
+
+void
+expectSameGraph(const WeightedGraph &got, const WeightedGraph &want,
+                const char *what)
+{
+    EXPECT_EQ(got.nodeCount(), want.nodeCount()) << what;
+    const std::vector<WeightedGraph::Edge> g = got.edges();
+    const std::vector<WeightedGraph::Edge> w = want.edges();
+    ASSERT_EQ(g.size(), w.size()) << what;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        EXPECT_EQ(g[i].u, w[i].u) << what << " edge " << i;
+        EXPECT_EQ(g[i].v, w[i].v) << what << " edge " << i;
+        EXPECT_EQ(g[i].weight, w[i].weight) << what << " edge " << i;
+    }
+}
+
+void
+expectMatchesReference(const Program &program, const Trace &trace,
+                       const EvalOptions &eval)
+{
+    const ReferenceProfile ref = referenceProfile(program, trace, eval);
+    const TraceProfile profile(program, trace, eval);
+    EXPECT_EQ(profile.sampled(), eval.sampling.active());
+    EXPECT_GT(ref.trg_place.edgeCount(), 0u);
+    expectSameGraph(profile.wcg(), ref.wcg, "WCG");
+    expectSameGraph(profile.trgSelect(), ref.trg_select, "TRG_select");
+    expectSameGraph(profile.trgPlace(), ref.trg_place, "TRG_place");
+    EXPECT_EQ(profile.avgQueueProcs(), ref.avg_queue_procs);
+
+    const std::vector<PairDatabase::Entry> got = profile.pairs().entries();
+    const std::vector<PairDatabase::Entry> want = ref.pairs.entries();
+    EXPECT_EQ(want.empty(), !eval.build_pairs);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].p, want[i].p) << "pair entry " << i;
+        EXPECT_EQ(got[i].r, want[i].r) << "pair entry " << i;
+        EXPECT_EQ(got[i].s, want[i].s) << "pair entry " << i;
+        EXPECT_EQ(got[i].weight, want[i].weight) << "pair entry " << i;
+    }
+
+    const PlacementContext ctx = profile.context();
+    EXPECT_EQ(ctx.program, &program);
+    EXPECT_EQ(ctx.cache.size_bytes, eval.cache.size_bytes);
+    EXPECT_EQ(ctx.chunks, &profile.chunks());
+    EXPECT_EQ(ctx.wcg, &profile.wcg());
+    EXPECT_EQ(ctx.trg_select, &profile.trgSelect());
+    EXPECT_EQ(ctx.trg_place, &profile.trgPlace());
+    EXPECT_EQ(ctx.pairs, &profile.pairs());
+    EXPECT_EQ(ctx.popular, ref.popular.mask);
+    EXPECT_EQ(ctx.heat, ref.heat);
+}
+
+struct PaperTrain
+{
+    BenchmarkCase bench = paperBenchmark("m88ksim", 0.05);
+    Trace train = synthesizeTrace(bench.model, bench.train);
+};
+
+TEST(TraceProfileParity, MicrosuiteCase)
+{
+    const MicroCase mc = microCase("giant_proc");
+    EvalOptions eval;
+    eval.cache = mc.cache;
+    expectMatchesReference(mc.program, mc.trace, eval);
+}
+
+TEST(TraceProfileParity, PaperBenchmarkExact)
+{
+    const PaperTrain in;
+    expectMatchesReference(in.bench.model.program, in.train, EvalOptions{});
+}
+
+TEST(TraceProfileParity, PaperBenchmarkSampled)
+{
+    const PaperTrain in;
+    EvalOptions eval;
+    eval.sampling.mode = SampleMode::kSimpoint;
+    expectMatchesReference(in.bench.model.program, in.train, eval);
+    const TraceProfile profile(in.bench.model.program, in.train, eval);
+    EXPECT_GT(profile.plan().cluster_count, 0u);
+}
+
+TEST(TraceProfileParity, PaperBenchmarkWithPairs)
+{
+    const PaperTrain in;
+    EvalOptions eval;
+    eval.build_pairs = true;
+    expectMatchesReference(in.bench.model.program, in.train, eval);
+}
+
+TEST(TraceProfileErrors, SampledPairsAndBadQFactorRejected)
+{
+    const MicroCase mc = microCase("thrash_pair");
+    EvalOptions eval;
+    eval.cache = mc.cache;
+    const TraceProfile exact(mc.program, mc.trace, eval);
+    EXPECT_THROW(exact.plan(), TopoError);
+
+    EvalOptions sampled_pairs = eval;
+    sampled_pairs.sampling.mode = SampleMode::kSimpoint;
+    sampled_pairs.build_pairs = true;
+    EXPECT_THROW(TraceProfile(mc.program, mc.trace, sampled_pairs),
+                 TopoError);
+
+    for (const double factor :
+         {-1.0, 0.0, 1e-9, 1e30, std::nan(""), HUGE_VAL}) {
+        EvalOptions bad = eval;
+        bad.q_budget_factor = factor;
+        EXPECT_THROW(qByteBudget(bad), TopoError) << factor;
+        EXPECT_THROW(TraceProfile(mc.program, mc.trace, bad), TopoError)
+            << factor;
+    }
+    EXPECT_EQ(qByteBudget(eval), 2u * mc.cache.size_bytes);
 }
 
 TEST(RunComparisonErrors, EmptyAlgorithmListRejected)

@@ -7,13 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "topo/cache/simulate.hh"
-#include "topo/eval/experiment.hh"
+#include "topo/eval/trace_profile.hh"
 #include "topo/placement/cache_coloring.hh"
 #include "topo/placement/gbsc.hh"
 #include "topo/placement/pettis_hansen.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/util/error.hh"
 #include "topo/workload/microsuite.hh"
 
@@ -22,47 +19,29 @@ namespace topo
 namespace
 {
 
+EvalOptions
+onCaseCache(const MicroCase &mc)
+{
+    EvalOptions eval;
+    eval.cache = mc.cache;
+    return eval;
+}
+
 /** Self-contained pipeline for one micro case. */
 struct MicroPipeline
 {
     MicroCase mc;
-    ChunkMap chunks;
-    TraceStats stats;
-    PopularSet popular;
-    WeightedGraph wcg;
-    TrgBuildResult trgs;
+    TraceProfile profile;
     FetchStream stream;
 
     explicit MicroPipeline(MicroCase micro)
         : mc(std::move(micro)),
-          chunks(mc.program, 256),
-          stats(computeTraceStats(mc.program, mc.trace)),
-          popular(selectPopular(mc.program, stats)),
-          wcg(buildWcg(mc.program, mc.trace)),
+          profile(mc.program, mc.trace, onCaseCache(mc)),
           stream(mc.program, mc.trace, mc.cache.line_bytes)
     {
-        TrgBuildOptions opts;
-        opts.byte_budget = 2 * mc.cache.size_bytes;
-        opts.popular = &popular.mask;
-        trgs = buildTrgs(mc.program, chunks, mc.trace, opts);
     }
 
-    PlacementContext
-    context()
-    {
-        PlacementContext ctx;
-        ctx.program = &mc.program;
-        ctx.cache = mc.cache;
-        ctx.chunks = &chunks;
-        ctx.wcg = &wcg;
-        ctx.trg_select = &trgs.select;
-        ctx.trg_place = &trgs.place;
-        ctx.popular = popular.mask;
-        ctx.heat.assign(mc.program.procCount(), 0.0);
-        for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-            ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-        return ctx;
-    }
+    PlacementContext context() const { return profile.context(); }
 
     double
     missRate(const Layout &layout) const

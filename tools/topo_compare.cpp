@@ -16,11 +16,10 @@
 #include "topo/cache/simulate.hh"
 #include "topo/eval/page_metric.hh"
 #include "topo/eval/reports.hh"
+#include "topo/eval/trace_profile.hh"
 #include "topo/obs/obs.hh"
 #include "topo/placement/placement.hh"
 #include "topo/placement/refine.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/program/program_io.hh"
 #include "topo/resilience/resilience.hh"
 #include "topo/trace/trace_binary.hh"
@@ -52,36 +51,15 @@ run(const Options &opts)
         test.validate(program);
     const EvalOptions eval = evalOptionsFrom(opts);
 
-    // Profile from the training trace.
-    const TraceStats stats = computeTraceStats(program, train);
-    const PopularSet popular =
-        selectPopular(program, stats, eval.popularity);
-    const ChunkMap chunks(program, eval.chunk_bytes);
-    const WeightedGraph wcg = buildWcg(program, train);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs = buildTrgs(program, chunks, train, topts);
-
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &wcg;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+    const TraceProfile profile(program, train, eval);
+    const PlacementContext ctx = profile.context();
 
     const FetchStream train_stream(program, train,
                                    eval.cache.line_bytes);
     const FetchStream test_stream(program, test, eval.cache.line_bytes);
 
     std::cerr << program.procCount() << " procedures, "
-              << popular.count << " popular; cache "
+              << profile.popular().count << " popular; cache "
               << eval.cache.describe() << "\n";
 
     TextTable table({"algorithm", has_test ? "train MR" : "MR",

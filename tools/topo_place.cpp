@@ -17,12 +17,11 @@
 
 #include "topo/cache/simulate.hh"
 #include "topo/eval/reports.hh"
+#include "topo/eval/trace_profile.hh"
 #include "topo/obs/obs.hh"
 #include "topo/obs/provenance.hh"
 #include "topo/placement/decision_log.hh"
 #include "topo/placement/placement.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/program/layout_io.hh"
 #include "topo/program/layout_script.hh"
 #include "topo/program/program_io.hh"
@@ -55,32 +54,11 @@ run(const Options &opts)
     trace.validate(program);
     const EvalOptions eval = evalOptionsFrom(opts);
 
-    // Build profiles.
-    const TraceStats stats = computeTraceStats(program, trace);
-    const PopularSet popular =
-        selectPopular(program, stats, eval.popularity);
-    const ChunkMap chunks(program, eval.chunk_bytes);
-    const WeightedGraph wcg = buildWcg(program, trace);
-    TrgBuildOptions topts;
-    topts.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs = buildTrgs(program, chunks, trace, topts);
-
-    PlacementContext ctx;
-    ctx.program = &program;
-    ctx.cache = eval.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &wcg;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(program.procCount(), 0.0);
-    for (std::size_t i = 0; i < program.procCount(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
+    const TraceProfile profile(program, trace, eval);
+    PlacementContext ctx = profile.context();
 
     std::cerr << "placing " << program.procCount() << " procedures ("
-              << popular.count << " popular) with " << algo.name()
+              << profile.popular().count << " popular) with " << algo.name()
               << " for " << eval.cache.describe() << "\n";
     const std::string decisions_out =
         opts.getString("decisions-out", "");

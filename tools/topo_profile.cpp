@@ -132,8 +132,7 @@ runInit(const Options &opts)
     config.program = loadProgram(program_path);
     config.cache = eval.cache;
     config.chunk_bytes = eval.chunk_bytes;
-    config.byte_budget = static_cast<std::uint64_t>(
-        eval.q_budget_factor * eval.cache.size_bytes);
+    config.byte_budget = qByteBudget(eval);
     config.coverage = eval.popularity.coverage;
     config.build_pairs = opts.getBool("build-pairs", false);
     config.pair_window = eval.pair_window;

@@ -40,9 +40,6 @@
 #include "topo/eval/reports.hh"
 #include "topo/obs/obs.hh"
 #include "topo/placement/placement.hh"
-#include "topo/placement/popularity.hh"
-#include "topo/profile/trg_builder.hh"
-#include "topo/profile/wcg_builder.hh"
 #include "topo/program/layout_io.hh"
 #include "topo/program/program_io.hh"
 #include "topo/resilience/resilience.hh"
@@ -177,36 +174,16 @@ runBenchmarkReport(const Options &opts)
     return writer.finish();
 }
 
-/** Build the standard profiling context for one microsuite case. */
+/** Profile, place and report one microsuite case on its own cache. */
 ComparisonReport
-microCaseReport(const MicroCase &mc,
+microCaseReport(const MicroCase &mc, EvalOptions eval,
                 const std::vector<std::string> &algorithms,
                 const ReportOptions &ropts)
 {
-    const ChunkMap chunks(mc.program, 256);
-    const TraceStats stats = computeTraceStats(mc.program, mc.trace);
-    const PopularSet popular = selectPopular(mc.program, stats);
-    const WeightedGraph wcg = buildWcg(mc.program, mc.trace);
-    TrgBuildOptions topts;
-    topts.byte_budget = 2 * mc.cache.size_bytes;
-    topts.popular = &popular.mask;
-    const TrgBuildResult trgs =
-        buildTrgs(mc.program, chunks, mc.trace, topts);
-
-    PlacementContext ctx;
-    ctx.program = &mc.program;
-    ctx.cache = mc.cache;
-    ctx.chunks = &chunks;
-    ctx.wcg = &wcg;
-    ctx.trg_select = &trgs.select;
-    ctx.trg_place = &trgs.place;
-    ctx.popular = popular.mask;
-    ctx.heat.assign(mc.program.procCount(), 0.0);
-    for (std::size_t i = 0; i < ctx.heat.size(); ++i)
-        ctx.heat[i] = static_cast<double>(stats.bytes_fetched[i]);
-
+    eval.cache = mc.cache;
+    const TraceProfile profile(mc.program, mc.trace, eval);
     const std::vector<LayoutCandidate> candidates = placeCandidates(
-        algorithms, mc.program, mc.cache.line_bytes, ctx);
+        algorithms, mc.program, mc.cache.line_bytes, profile.context());
     const FetchStream stream(mc.program, mc.trace,
                              mc.cache.line_bytes);
     ComparisonReport report = buildComparisonReport(
@@ -219,8 +196,18 @@ int
 runMicrosuiteReport(const Options &opts)
 {
     const std::string which = opts.getString("microsuite", "");
+    // Each case carries its own lesson-specific geometry, so the size
+    // and line flags cannot apply; --assoc and --policy below can.
+    for (const char *flag : {"cache-kb", "line-bytes"}) {
+        require(!opts.has(flag),
+                std::string("--") + flag +
+                    " does not apply to --microsuite (each case has its "
+                    "own cache geometry; --assoc and --policy override "
+                    "it)");
+    }
     const std::vector<std::string> algorithms = algorithmListFrom(opts);
     const ReportOptions ropts = reportOptionsFrom(opts);
+    const EvalOptions eval = evalOptionsFrom(opts);
 
     std::vector<MicroCase> cases;
     if (which.empty() || which == "1" || which == "all")
@@ -228,9 +215,8 @@ runMicrosuiteReport(const Options &opts)
     else
         cases.push_back(microCase(which));
 
-    // Each case carries its own lesson-specific geometry; --assoc
-    // overrides the associativity across the suite so the same
-    // workloads can be compared on both cache organisations.
+    // --assoc overrides the associativity across the suite so the
+    // same workloads can be compared on both cache organisations.
     if (opts.has("assoc")) {
         const std::int64_t assoc = opts.getInt("assoc", 1);
         require(assoc > 0, "topo_report: --assoc must be positive");
@@ -270,7 +256,8 @@ runMicrosuiteReport(const Options &opts)
             CaseResult out;
             out.metrics = std::make_unique<MetricsRegistry>();
             MetricsScope scope(*out.metrics);
-            out.report = microCaseReport(cases[i], algorithms, ropts);
+            out.report =
+                microCaseReport(cases[i], eval, algorithms, ropts);
             return out;
         });
     ReportWriter writer = writerFrom(opts);
@@ -447,10 +434,13 @@ main(int argc, char **argv)
         "  --algorithms=default,ph,hkc,gbsc (pipeline modes)\n"
         "  --out=FILE (Markdown; default stdout) --json-out=FILE\n"
         "  --top-pairs=N --hot-sets=N --timeline-window=BLOCKS\n"
+        "  --chunk-bytes=N --coverage=F --q-factor=F (profile knobs)\n"
         "  --cache-kb=N --line-bytes=N --assoc=N --trace-scale=S\n"
+        "      (--cache-kb/--line-bytes exit 1 with --microsuite:\n"
+        "      each case has its own cache size and line)\n"
         "  --policy=lru|plru|srrip|fifo|random [--policy-seed=N]\n"
         "      (set-associative replacement policy; with --microsuite\n"
-        "      it overrides every case's geometry)\n"
+        "      --assoc and --policy override every case's geometry)\n"
         "  --jobs=N (parallel cases/candidates; output is\n"
         "      bit-identical for every N)\n"
         "  --check-json=FILE (validate a JSON artefact; exit 0/2)\n"
