@@ -21,10 +21,12 @@
 #include "topo/placement/pettis_hansen.hh"
 #include "topo/profile/temporal_queue.hh"
 #include "topo/profile/trg_builder.hh"
+#include "topo/sampling/sample_plan.hh"
 #include "topo/trace/fetch_stream.hh"
 #include "topo/trace/trace_binary.hh"
 #include "topo/util/flat_map.hh"
 #include "topo/util/rng.hh"
+#include "topo/workload/paper_suite.hh"
 #include "topo/workload/synthetic_program.hh"
 #include "topo/workload/trace_synthesizer.hh"
 
@@ -210,6 +212,28 @@ BM_FetchStreamBuild(benchmark::State &state)
         static_cast<std::int64_t>(s.trace.size()));
 }
 BENCHMARK(BM_FetchStreamBuild)->Unit(benchmark::kMillisecond);
+
+void
+BM_SamplePlan(benchmark::State &state)
+{
+    // Everything a sampled run spends before replaying: the walk that
+    // slices the trace into windows and describes them, the automatic
+    // k-means sweep and the representative choice.
+    static const BenchmarkCase bench = paperBenchmark("m88ksim", 1.0);
+    static const Trace trace = synthesizeTrace(bench.model, bench.train);
+    const std::uint32_t line_bytes = CacheConfig::paperDefault().line_bytes;
+    SamplingOptions opts;
+    opts.mode = SampleMode::kSimpoint;
+    for (auto _ : state) {
+        const SamplePlan plan =
+            buildSamplePlan(bench.model.program, trace, line_bytes, opts);
+        benchmark::DoNotOptimize(plan.segments.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_SamplePlan)->Unit(benchmark::kMillisecond);
 
 void
 BM_TemporalQueueReference(benchmark::State &state)

@@ -221,7 +221,7 @@ echo "== perf smoke =="
 # here is to catch order-of-magnitude hot-path regressions — the
 # committed 15% default is for dedicated perf runs.
 "$BUILD/bench/perf_microbench" \
-    --benchmark_filter='FlatMap|UnorderedMap|TraceLoad|TrgBuild|FetchStream' \
+    --benchmark_filter='FlatMap|UnorderedMap|TraceLoad|TrgBuild|FetchStream|SamplePlan' \
     --benchmark_min_time=0.05 > /dev/null 2>&1 || {
     echo "FAIL: perf_microbench did not run"; exit 1; }
 TOPO_BENCH_JOBS=1 TOPO_PERF_TOL="${TOPO_PERF_TOL:-0.6}" \

@@ -8,9 +8,7 @@
  * the epoch to reset. touch() is one load + compare on the hot path;
  * reset() is O(1) regardless of how many ids the window touched.
  *
- * Shared by the simulation timeline (distinct procedures per window)
- * and the sampling feature extractor (distinct procedures per trace
- * window), so both consumers count "working set" identically.
+ * Used by the simulation timeline (distinct procedures per window).
  */
 
 #ifndef TOPO_OBS_EPOCH_COUNTER_HH

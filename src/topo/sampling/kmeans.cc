@@ -1,7 +1,9 @@
 #include "topo/sampling/kmeans.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "topo/exec/exec.hh"
 #include "topo/util/error.hh"
@@ -13,15 +15,30 @@ namespace topo
 namespace
 {
 
-inline double
-sqDistance(const double *a, const double *b, std::size_t dims)
+/**
+ * Whether @p row is strictly closer to @p center than @p best_d2, or
+ * exactly as close when @p wins_ties; on true, @p best_d2 becomes the
+ * distance. The sum runs in sqDistance's order and stops as soon as
+ * it can no longer win: every term is >= 0, and under round-to-nearest
+ * adding one never makes the sum smaller, so a sum already at (or,
+ * for a tie winner, past) @p best_d2 ends there too.
+ */
+inline bool
+closerThan(const double *row, const double *center, std::size_t dims,
+           bool wins_ties, double &best_d2)
 {
     double sum = 0.0;
     for (std::size_t d = 0; d < dims; ++d) {
-        const double diff = a[d] - b[d];
+        const double diff = row[d] - center[d];
         sum += diff * diff;
+        if (sum > best_d2 || (sum == best_d2 && !wins_ties))
+            return false;
     }
-    return sum;
+    if (sum < best_d2 || (sum == best_d2 && wins_ties)) {
+        best_d2 = sum;
+        return true;
+    }
+    return false; // only reachable with dims == 0
 }
 
 /**
@@ -107,27 +124,39 @@ kmeansCluster(const WindowFeatureMatrix &features, std::size_t k,
     result.assignment.assign(n, 0);
 
     std::vector<std::uint32_t> next(n, 0);
+    constexpr std::size_t kChunk = 128;
+    const std::size_t chunks = (n + kChunk - 1) / kChunk;
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // Assignment: nearest centroid, strict < so ties keep the
-        // lowest center index. Independent writes — jobs-invariant.
-        parallelFor(n, [&](std::size_t w) {
-            const double *row = features.row(w);
-            std::uint32_t best = 0;
-            double best_d2 =
-                sqDistance(row, &result.centroids[0], dims);
-            for (std::size_t c = 1; c < k; ++c) {
-                const double d2 =
-                    sqDistance(row, &result.centroids[c * dims], dims);
-                if (d2 < best_d2) {
-                    best_d2 = d2;
-                    best = static_cast<std::uint32_t>(c);
+        // Assignment: nearest centroid, ties to the lowest center
+        // index. The window's previous center (center 0 on the first
+        // pass) goes first, since it usually stays nearest and so cuts
+        // the other sums short; a lower-index center then takes over
+        // on an exact tie, a higher one only when strictly closer.
+        // Independent writes — jobs-invariant. Windows go to the pool
+        // in chunks, so each task outweighs its scheduling cost.
+        parallelFor(chunks, [&](std::size_t chunk) {
+            const std::size_t end = std::min(n, (chunk + 1) * kChunk);
+            for (std::size_t w = chunk * kChunk; w < end; ++w) {
+                const double *row = features.row(w);
+                const std::uint32_t prev = result.assignment[w];
+                std::uint32_t best = prev;
+                double best_d2 = sqDistance(
+                    row,
+                    &result.centroids[static_cast<std::size_t>(prev) *
+                                      dims],
+                    dims);
+                for (std::size_t c = 0; c < k; ++c) {
+                    if (c != prev &&
+                        closerThan(row, &result.centroids[c * dims],
+                                   dims, c < best, best_d2))
+                        best = static_cast<std::uint32_t>(c);
                 }
+                next[w] = best;
             }
-            next[w] = best;
         });
         result.iterations = iter + 1;
         const bool changed = next != result.assignment;
-        result.assignment = next;
+        std::swap(result.assignment, next);
         if (!changed && iter > 0)
             break;
 

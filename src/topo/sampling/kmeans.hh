@@ -11,7 +11,8 @@
  *  - seeded k-means++ initialisation drawn from the library Rng;
  *  - the assignment step parallelises over windows (independent
  *    writes, no accumulation), ties broken towards the lowest center
- *    index by strict comparison;
+ *    index; distance sums that can no longer win stop early, which
+ *    never changes the answer (DESIGN.md §15);
  *  - centroid recomputation and inertia folds run serially in window
  *    order, so FP summation order never depends on thread count;
  *  - a fixed iteration cap bounds the loop.
@@ -27,6 +28,21 @@
 
 namespace topo
 {
+
+/**
+ * Squared Euclidean distance between two @p dims-long rows, summed in
+ * dimension order (every caller gets the same rounding).
+ */
+inline double
+sqDistance(const double *a, const double *b, std::size_t dims)
+{
+    double sum = 0.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+        const double diff = a[d] - b[d];
+        sum += diff * diff;
+    }
+    return sum;
+}
 
 /** K-means knobs. */
 struct KMeansOptions

@@ -27,18 +27,6 @@ autoWindowRuns(std::size_t run_count)
     return std::max<std::uint64_t>(512, ceil_div);
 }
 
-/** Squared distance between a feature row and a centroid row. */
-double
-rowSqDistance(const double *a, const double *b, std::size_t dims)
-{
-    double sum = 0.0;
-    for (std::size_t d = 0; d < dims; ++d) {
-        const double diff = a[d] - b[d];
-        sum += diff * diff;
-    }
-    return sum;
-}
-
 /** Whole-trace plan used when there is nothing to sample. */
 SamplePlan
 exactPlan(const Trace &trace, const TraceWindows &windows)
@@ -77,15 +65,14 @@ buildSamplePlan(const Program &program, const Trace &trace,
         options.window_runs > 0 ? options.window_runs
                                 : autoWindowRuns(trace.size());
     const TraceWindows windows =
-        sliceTraceWindows(program, trace, window_runs, line_bytes);
+        buildTraceWindows(program, trace, window_runs, line_bytes);
     const std::size_t count = windows.count();
 
     SamplePlan plan;
     if (count <= 1) {
         plan = exactPlan(trace, windows);
     } else {
-        const WindowFeatureMatrix features =
-            extractWindowFeatures(program, trace, windows, line_bytes);
+        const WindowFeatureMatrix &features = windows.features;
 
         KMeansOptions kopts;
         kopts.seed = options.seed;
@@ -109,7 +96,7 @@ buildSamplePlan(const Program &program, const Trace &trace,
         for (std::size_t w = 0; w < count; ++w) {
             const std::uint32_t c = clusters.assignment[w];
             cluster_blocks[c] += windows.blocks[w];
-            const double d2 = rowSqDistance(
+            const double d2 = sqDistance(
                 features.row(w),
                 &clusters.centroids[static_cast<std::size_t>(c) *
                                     features.dims],

@@ -30,7 +30,21 @@
 namespace topo
 {
 
-/** Fixed-size slicing of a trace into run windows. */
+/** Row-major windows x dims feature matrix. */
+struct WindowFeatureMatrix
+{
+    std::size_t windows = 0;
+    std::size_t dims = 0;
+    /** Row w starts at values[w * dims]. */
+    std::vector<double> values;
+
+    const double *row(std::size_t w) const { return &values[w * dims]; }
+};
+
+/**
+ * Fixed-size slicing of a trace into run windows, with each window's
+ * exact line-fetch count and behaviour vector.
+ */
 struct TraceWindows
 {
     /** Runs per window (last window may be shorter). */
@@ -47,6 +61,8 @@ struct TraceWindows
      * arithmetically without expanding the stream.
      */
     std::vector<std::uint64_t> blocks;
+    /** One behaviour vector per window (row w describes window w). */
+    WindowFeatureMatrix features;
 
     std::size_t count() const { return blocks.size(); }
 
@@ -54,40 +70,23 @@ struct TraceWindows
     std::uint64_t totalBlocks() const;
 };
 
-/** Row-major windows x dims feature matrix. */
-struct WindowFeatureMatrix
-{
-    std::size_t windows = 0;
-    std::size_t dims = 0;
-    /** Row w starts at values[w * dims]. */
-    std::vector<double> values;
-
-    const double *row(std::size_t w) const { return &values[w * dims]; }
-};
-
 /**
- * Slice @p trace into windows of @p window_runs runs and compute each
- * window's exact line-fetch count at @p line_bytes. O(events), no
- * stream expansion. Requires a validated trace and window_runs > 0.
+ * Slice @p trace into windows of @p window_runs runs and describe each
+ * one, in a single walk over the events (no stream expansion).
+ *
+ * Feature dimensions: line-fetch fraction of each of the top
+ * @p top_procs procedures by global line count (ties broken by
+ * procedure id), one "everything else" fraction, the distinct-procedure
+ * fraction of the window, the run/line granularity ratio, and the
+ * same-procedure repeat fraction. Line counts are taken at
+ * @p line_bytes, the same size the blocks are counted at. Deterministic
+ * and jobs-invariant. Requires a validated trace, window_runs > 0 and
+ * line_bytes > 0.
  */
-TraceWindows sliceTraceWindows(const Program &program, const Trace &trace,
+TraceWindows buildTraceWindows(const Program &program, const Trace &trace,
                                std::uint64_t window_runs,
-                               std::uint32_t line_bytes);
-
-/**
- * Per-window behaviour vectors. Dimensions: line-fetch fraction of
- * each of the top @p top_procs procedures by global line count (ties
- * broken by procedure id), one "everything else" fraction, the
- * distinct-procedure fraction of the window, the run/line granularity
- * ratio, and the same-procedure repeat fraction. Deterministic and
- * jobs-invariant: window rows are computed independently (parallelFor
- * over disjoint rows) from per-window data only.
- */
-WindowFeatureMatrix extractWindowFeatures(const Program &program,
-                                          const Trace &trace,
-                                          const TraceWindows &windows,
-                                          std::uint32_t line_bytes,
-                                          std::size_t top_procs = 32);
+                               std::uint32_t line_bytes,
+                               std::size_t top_procs = 32);
 
 } // namespace topo
 

@@ -1,30 +1,39 @@
 /**
  * @file
  * Differential tests: the production cache simulators, the
- * TemporalQueue and the whole TRG build are checked against
- * deliberately naive reference models under randomised traffic. These
- * catch subtle state bugs (LRU ordering, eviction accounting, shard
- * merging) that example-based tests miss.
+ * TemporalQueue, the whole TRG build and the sampler's window features
+ * and k-means are checked against deliberately naive reference models
+ * under randomised inputs. These catch subtle state bugs (LRU
+ * ordering, eviction accounting, shard merging, tie-breaking) that
+ * example-based tests miss.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <list>
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "topo/cache/direct_mapped_cache.hh"
 #include "topo/cache/set_associative_cache.hh"
 #include "topo/exec/exec.hh"
+#include "topo/obs/epoch_counter.hh"
 #include "topo/obs/metrics.hh"
 #include "topo/profile/temporal_queue.hh"
 #include "topo/profile/trg_builder.hh"
+#include "topo/sampling/kmeans.hh"
+#include "topo/sampling/window_features.hh"
+#include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 
 namespace topo
@@ -427,6 +436,506 @@ TEST_P(TrgOracleTest, BuildMatchesSection3Definition)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrgOracleTest,
                          ::testing::Values(1u, 2u, 3u));
+
+/**
+ * The sampler's window and clustering stages as first written, kept
+ * as the reference the production code must match bit for bit: three
+ * walks over the trace (block counts, global line counts, per-window
+ * mix) and brute-force k-means assignment that sums every distance in
+ * full and scans centres in index order.
+ */
+namespace reference
+{
+
+struct Windows
+{
+    std::uint64_t window_runs = 0;
+    std::vector<std::size_t> event_begin;
+    std::vector<std::uint64_t> blocks;
+
+    std::size_t count() const { return blocks.size(); }
+};
+
+inline std::uint64_t
+runLines(const TraceEvent &ev, std::uint32_t line_bytes)
+{
+    const std::uint32_t first = ev.offset / line_bytes;
+    const std::uint32_t last = (ev.offset + ev.length - 1) / line_bytes;
+    return static_cast<std::uint64_t>(last - first) + 1;
+}
+
+Windows
+sliceTraceWindows(const Program &program, const Trace &trace,
+                  std::uint64_t window_runs, std::uint32_t line_bytes)
+{
+    require(window_runs > 0, "sliceTraceWindows: zero window size");
+    require(line_bytes > 0, "sliceTraceWindows: zero line size");
+    require(trace.procCount() == program.procCount(),
+            "sliceTraceWindows: program/trace mismatch");
+    const std::size_t n = trace.size();
+    const std::size_t count =
+        n == 0 ? 0
+               : (n + static_cast<std::size_t>(window_runs) - 1) /
+                     static_cast<std::size_t>(window_runs);
+
+    Windows windows;
+    windows.window_runs = window_runs;
+    windows.event_begin.resize(count + 1);
+    windows.blocks.assign(count, 0);
+    for (std::size_t w = 0; w <= count; ++w) {
+        windows.event_begin[w] =
+            std::min(n, w * static_cast<std::size_t>(window_runs));
+    }
+    windows.event_begin[count] = n;
+
+    const std::vector<TraceEvent> &events = trace.events();
+    parallelFor(count, [&](std::size_t w) {
+        std::uint64_t blocks = 0;
+        for (std::size_t i = windows.event_begin[w];
+             i < windows.event_begin[w + 1]; ++i)
+            blocks += runLines(events[i], line_bytes);
+        windows.blocks[w] = blocks;
+    });
+    return windows;
+}
+
+WindowFeatureMatrix
+extractWindowFeatures(const Program &program, const Trace &trace,
+                      const Windows &windows, std::uint32_t line_bytes,
+                      std::size_t top_procs)
+{
+    const std::vector<TraceEvent> &events = trace.events();
+    const std::size_t proc_count = program.procCount();
+    const std::size_t count = windows.count();
+
+    std::vector<std::uint64_t> global_lines(proc_count, 0);
+    for (const TraceEvent &ev : events)
+        global_lines[ev.proc] += runLines(ev, line_bytes);
+    std::vector<ProcId> hot(proc_count);
+    for (std::size_t p = 0; p < proc_count; ++p)
+        hot[p] = static_cast<ProcId>(p);
+    std::sort(hot.begin(), hot.end(), [&](ProcId a, ProcId b) {
+        if (global_lines[a] != global_lines[b])
+            return global_lines[a] > global_lines[b];
+        return a < b;
+    });
+    const std::size_t m = std::min(top_procs, proc_count);
+    std::vector<std::uint32_t> feature_slot(proc_count,
+                                            static_cast<std::uint32_t>(m));
+    for (std::size_t i = 0; i < m; ++i)
+        feature_slot[hot[i]] = static_cast<std::uint32_t>(i);
+
+    WindowFeatureMatrix features;
+    features.windows = count;
+    features.dims = m + 4;
+    features.values.assign(count * features.dims, 0.0);
+
+    parallelFor(count, [&](std::size_t w) {
+        const std::size_t begin = windows.event_begin[w];
+        const std::size_t end = windows.event_begin[w + 1];
+        double *row = &features.values[w * features.dims];
+        std::vector<std::uint64_t> mix(m + 1, 0);
+        EpochCounter distinct(proc_count);
+        std::uint64_t repeats = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const TraceEvent &ev = events[i];
+            mix[feature_slot[ev.proc]] += runLines(ev, line_bytes);
+            distinct.touch(ev.proc);
+            if (i > begin && ev.proc == events[i - 1].proc)
+                ++repeats;
+        }
+        const double lines =
+            static_cast<double>(std::max<std::uint64_t>(
+                windows.blocks[w], 1));
+        const double runs =
+            static_cast<double>(std::max<std::size_t>(end - begin, 1));
+        for (std::size_t i = 0; i <= m; ++i)
+            row[i] = static_cast<double>(mix[i]) / lines;
+        row[m + 1] = static_cast<double>(distinct.count()) /
+                     static_cast<double>(std::max<std::size_t>(
+                         proc_count, 1));
+        row[m + 2] = runs / lines >= 1.0 ? 1.0 : runs / lines;
+        row[m + 3] = static_cast<double>(repeats) / runs;
+    });
+    return features;
+}
+
+inline double
+sqDistance(const double *a, const double *b, std::size_t dims)
+{
+    double sum = 0.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+        const double diff = a[d] - b[d];
+        sum += diff * diff;
+    }
+    return sum;
+}
+
+std::vector<double>
+seedCenters(const WindowFeatureMatrix &features, std::size_t k, Rng &rng)
+{
+    const std::size_t n = features.windows;
+    const std::size_t dims = features.dims;
+    std::vector<double> centers(k * dims, 0.0);
+    std::vector<bool> is_center(n, false);
+
+    const std::size_t first = static_cast<std::size_t>(
+        rng.nextBelow(static_cast<std::uint64_t>(n)));
+    for (std::size_t d = 0; d < dims; ++d)
+        centers[d] = features.row(first)[d];
+    is_center[first] = true;
+
+    std::vector<double> dist2(n,
+                              std::numeric_limits<double>::infinity());
+    for (std::size_t c = 1; c < k; ++c) {
+        const double *latest = &centers[(c - 1) * dims];
+        parallelFor(n, [&](std::size_t w) {
+            const double d2 = sqDistance(features.row(w), latest, dims);
+            if (d2 < dist2[w])
+                dist2[w] = d2;
+        });
+        double total = 0.0;
+        for (std::size_t w = 0; w < n; ++w)
+            total += dist2[w];
+        std::size_t pick = n;
+        if (total > 0.0) {
+            const double r = rng.nextDouble() * total;
+            double cumulative = 0.0;
+            for (std::size_t w = 0; w < n; ++w) {
+                cumulative += dist2[w];
+                if (cumulative > r) {
+                    pick = w;
+                    break;
+                }
+            }
+        }
+        if (pick == n) {
+            pick = 0;
+            for (std::size_t w = 0; w < n; ++w) {
+                if (!is_center[w]) {
+                    pick = w;
+                    break;
+                }
+            }
+        }
+        for (std::size_t d = 0; d < dims; ++d)
+            centers[c * dims + d] = features.row(pick)[d];
+        is_center[pick] = true;
+    }
+    return centers;
+}
+
+KMeansResult
+kmeansCluster(const WindowFeatureMatrix &features, std::size_t k,
+              const KMeansOptions &options)
+{
+    const std::size_t n = features.windows;
+    const std::size_t dims = features.dims;
+    require(n > 0, "kmeansCluster: no windows");
+    require(k >= 1 && k <= n,
+            "kmeansCluster: k must be in [1, windows]");
+
+    Rng rng(options.seed);
+    KMeansResult result;
+    result.k = k;
+    result.centroids = seedCenters(features, k, rng);
+    result.assignment.assign(n, 0);
+
+    std::vector<std::uint32_t> next(n, 0);
+    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+        parallelFor(n, [&](std::size_t w) {
+            const double *row = features.row(w);
+            std::uint32_t best = 0;
+            double best_d2 =
+                sqDistance(row, &result.centroids[0], dims);
+            for (std::size_t c = 1; c < k; ++c) {
+                const double d2 =
+                    sqDistance(row, &result.centroids[c * dims], dims);
+                if (d2 < best_d2) {
+                    best_d2 = d2;
+                    best = static_cast<std::uint32_t>(c);
+                }
+            }
+            next[w] = best;
+        });
+        result.iterations = iter + 1;
+        const bool changed = next != result.assignment;
+        result.assignment = next;
+        if (!changed && iter > 0)
+            break;
+
+        std::vector<double> sums(k * dims, 0.0);
+        std::vector<std::uint64_t> counts(k, 0);
+        for (std::size_t w = 0; w < n; ++w) {
+            const std::uint32_t c = result.assignment[w];
+            const double *row = features.row(w);
+            double *sum = &sums[static_cast<std::size_t>(c) * dims];
+            for (std::size_t d = 0; d < dims; ++d)
+                sum[d] += row[d];
+            ++counts[c];
+        }
+        for (std::size_t c = 0; c < k; ++c) {
+            if (counts[c] == 0)
+                continue;
+            const double inv = 1.0 / static_cast<double>(counts[c]);
+            for (std::size_t d = 0; d < dims; ++d)
+                result.centroids[c * dims + d] = sums[c * dims + d] * inv;
+        }
+        if (!changed)
+            break;
+    }
+
+    result.cluster_size.assign(k, 0);
+    result.inertia = 0.0;
+    for (std::size_t w = 0; w < n; ++w) {
+        const std::uint32_t c = result.assignment[w];
+        ++result.cluster_size[c];
+        result.inertia += sqDistance(
+            features.row(w),
+            &result.centroids[static_cast<std::size_t>(c) * dims], dims);
+    }
+    return result;
+}
+
+KMeansResult
+kmeansAuto(const WindowFeatureMatrix &features, std::size_t max_k,
+           const KMeansOptions &options)
+{
+    const std::size_t n = features.windows;
+    require(n > 0, "kmeansAuto: no windows");
+    require(max_k >= 1, "kmeansAuto: zero max_k");
+    const std::size_t cap = max_k < n ? max_k : n;
+    const double dn = static_cast<double>(n);
+    const double dd = static_cast<double>(features.dims);
+
+    KMeansResult best;
+    double best_score = std::numeric_limits<double>::infinity();
+    std::size_t worse_streak = 0;
+    const Rng parent(options.seed);
+    for (std::size_t k = 1; k <= cap; ++k) {
+        KMeansOptions child = options;
+        child.seed = parent.split(static_cast<std::uint64_t>(k)).next();
+        KMeansResult candidate =
+            reference::kmeansCluster(features, k, child);
+        const double mse =
+            candidate.inertia / dn > 1e-12 ? candidate.inertia / dn
+                                           : 1e-12;
+        const double score = dn * dd * std::log(mse) +
+                             static_cast<double>(k) * (dd + 1.0) *
+                                 std::log(dn);
+        if (score < best_score) {
+            best_score = score;
+            best = std::move(candidate);
+            worse_streak = 0;
+        } else if (++worse_streak >= 2) {
+            break;
+        }
+    }
+    return best;
+}
+
+} // namespace reference
+
+/** Equal bit patterns, so -0.0 vs 0.0 and rounding differences fail. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+                0);
+}
+
+void
+expectSameClustering(const KMeansResult &got, const KMeansResult &want)
+{
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.assignment, want.assignment);
+    EXPECT_EQ(got.cluster_size, want.cluster_size);
+    EXPECT_TRUE(sameBits(got.centroids, want.centroids));
+    EXPECT_TRUE(sameBits({got.inertia}, {want.inertia}))
+        << got.inertia << " vs " << want.inertia;
+    EXPECT_EQ(got.iterations, want.iterations);
+}
+
+class WindowOracleTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
+                                                 std::uint32_t>>
+{
+  protected:
+    void TearDown() override { setExecJobs(1); }
+};
+
+TEST_P(WindowOracleTest, OneWalkMatchesThreePasses)
+{
+    const auto [seed, line_bytes] = GetParam();
+    // Runs of up to ~1.5 KB span many lines at every line size.
+    const RandomProfile profile(seed, 5000 + seed * 37);
+    for (const std::uint64_t window_runs : {1u, 7u, 256u, 6000u}) {
+        for (const std::size_t top_procs : {4u, 32u, 1000u}) {
+            const reference::Windows want = reference::sliceTraceWindows(
+                profile.program, profile.trace, window_runs, line_bytes);
+            const WindowFeatureMatrix want_features =
+                reference::extractWindowFeatures(
+                    profile.program, profile.trace, want, line_bytes,
+                    top_procs);
+            for (const int jobs : {1, 4}) {
+                SCOPED_TRACE(testing::Message()
+                             << "window_runs=" << window_runs
+                             << " top_procs=" << top_procs
+                             << " jobs=" << jobs);
+                setExecJobs(jobs);
+                const TraceWindows got = buildTraceWindows(
+                    profile.program, profile.trace, window_runs,
+                    line_bytes, top_procs);
+                EXPECT_EQ(got.window_runs, want.window_runs);
+                EXPECT_EQ(got.event_begin, want.event_begin);
+                EXPECT_EQ(got.blocks, want.blocks);
+                EXPECT_EQ(got.features.windows, want_features.windows);
+                EXPECT_EQ(got.features.dims, want_features.dims);
+                EXPECT_TRUE(sameBits(got.features.values,
+                                     want_features.values));
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndLines, WindowOracleTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(16u, 32u, 64u)));
+
+/**
+ * Rows drawn from a coarse grid: many rows coincide and many sit
+ * exactly midway between others, so distance ties between centres are
+ * common and the lowest-index tie rule decides real assignments.
+ */
+WindowFeatureMatrix
+gridFeatures(std::uint64_t seed, std::size_t windows, std::size_t dims,
+             std::uint64_t steps)
+{
+    Rng rng(seed);
+    WindowFeatureMatrix features;
+    features.windows = windows;
+    features.dims = dims;
+    features.values.resize(windows * dims);
+    for (double &v : features.values)
+        v = static_cast<double>(rng.nextBelow(steps + 1)) /
+            static_cast<double>(steps);
+    // Explicit duplicates of earlier rows.
+    for (std::size_t w = 1; w < windows; w += 5) {
+        const std::size_t src = rng.nextBelow(w);
+        std::copy_n(features.values.begin() + src * dims, dims,
+                    features.values.begin() + w * dims);
+    }
+    return features;
+}
+
+/** Rows of unrounded doubles, as real window features are. */
+WindowFeatureMatrix
+smoothFeatures(std::uint64_t seed, std::size_t windows, std::size_t dims)
+{
+    Rng rng(seed);
+    WindowFeatureMatrix features;
+    features.windows = windows;
+    features.dims = dims;
+    features.values.resize(windows * dims);
+    // A few blobs, so k-means has structure to find.
+    std::vector<double> blobs(4 * dims);
+    for (double &v : blobs)
+        v = rng.nextDouble();
+    for (std::size_t w = 0; w < windows; ++w) {
+        const std::size_t blob = rng.nextBelow(4);
+        for (std::size_t d = 0; d < dims; ++d)
+            features.values[w * dims + d] =
+                blobs[blob * dims + d] * (0.9 + 0.2 * rng.nextDouble());
+    }
+    return features;
+}
+
+class KMeansOracleTest : public ::testing::TestWithParam<std::uint64_t>
+{
+  protected:
+    void TearDown() override { setExecJobs(1); }
+};
+
+TEST_P(KMeansOracleTest, PartialDistanceMatchesBruteForce)
+{
+    const std::uint64_t seed = GetParam();
+    const std::vector<WindowFeatureMatrix> matrices = {
+        gridFeatures(seed, 97, 1, 2),   // values {0, 0.5, 1}
+        gridFeatures(seed, 150, 3, 2),
+        gridFeatures(seed, 300, 6, 4),
+        smoothFeatures(seed, 400, 9),
+    };
+    for (std::size_t i = 0; i < matrices.size(); ++i) {
+        const WindowFeatureMatrix &features = matrices[i];
+        KMeansOptions opts;
+        opts.seed = seed * 1000 + i;
+        std::vector<KMeansResult> want;
+        for (const std::size_t k : {1u, 2u, 3u, 5u, 16u})
+            want.push_back(reference::kmeansCluster(features, k, opts));
+        want.push_back(reference::kmeansCluster(features, 97, opts));
+        const KMeansResult want_auto =
+            reference::kmeansAuto(features, 16, opts);
+        for (const int jobs : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << "matrix=" << i << " jobs=" << jobs);
+            setExecJobs(jobs);
+            std::size_t at = 0;
+            for (const std::size_t k : {1u, 2u, 3u, 5u, 16u, 97u}) {
+                SCOPED_TRACE(testing::Message() << "k=" << k);
+                expectSameClustering(kmeansCluster(features, k, opts),
+                                     want[at++]);
+            }
+            SCOPED_TRACE("auto");
+            expectSameClustering(kmeansAuto(features, 16, opts),
+                                 want_auto);
+        }
+    }
+}
+
+TEST_P(KMeansOracleTest, RandomTraceFeaturesMatchBruteForce)
+{
+    // Real window features of a random trace, through both pipelines.
+    const std::uint64_t seed = GetParam();
+    const RandomProfile profile(seed, 20000);
+    const reference::Windows windows = reference::sliceTraceWindows(
+        profile.program, profile.trace, 64, 32);
+    const WindowFeatureMatrix features = reference::extractWindowFeatures(
+        profile.program, profile.trace, windows, 32, 32);
+    KMeansOptions opts;
+    opts.seed = seed;
+    const KMeansResult want = reference::kmeansAuto(features, 16, opts);
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+        setExecJobs(jobs);
+        expectSameClustering(kmeansAuto(features, 16, opts), want);
+    }
+}
+
+TEST(KMeansOracle, TinyGridsMatchBruteForce)
+{
+    // Many tiny matrices on a quarter grid. After an update step the
+    // centroids are exact dyadic means, so a window can end exactly
+    // as far from a lower-index centre as from its previous one —
+    // the case where the lower index must take over.
+    for (std::uint64_t t = 0; t < 400; ++t) {
+        const WindowFeatureMatrix features =
+            gridFeatures(t, 6 + t % 7, 1 + t % 3, 4);
+        KMeansOptions opts;
+        opts.seed = t;
+        for (std::size_t k = 2; k <= 4; ++k) {
+            SCOPED_TRACE(testing::Message() << "t=" << t << " k=" << k);
+            expectSameClustering(kmeansCluster(features, k, opts),
+                                 reference::kmeansCluster(features, k,
+                                                          opts));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KMeansOracleTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 } // namespace
 } // namespace topo

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,16 +116,12 @@ struct DistinctWindows
 };
 
 WindowFeatureMatrix
-benchmarkFeatures(const char *name, double scale, std::uint64_t window,
-                  TraceWindows *out_windows = nullptr)
+benchmarkFeatures(const char *name, double scale, std::uint64_t window)
 {
     const BenchmarkCase bench = paperBenchmark(name, scale);
     const Trace trace = synthesizeTrace(bench.model, bench.train);
-    const TraceWindows windows =
-        sliceTraceWindows(bench.model.program, trace, window, 32);
-    if (out_windows != nullptr)
-        *out_windows = windows;
-    return extractWindowFeatures(bench.model.program, trace, windows, 32);
+    return buildTraceWindows(bench.model.program, trace, window, 32)
+        .features;
 }
 
 TEST(KMeans, DeterministicAcrossJobsAndReruns)
@@ -356,6 +353,74 @@ TEST(SamplePlan, TinyTraceFallsBackToExact)
     EXPECT_EQ(plan.segments[0].begin, 0u);
     EXPECT_EQ(plan.segments[0].end, tp.trace.size());
     EXPECT_EQ(plan.segments[0].scale, 1.0);
+}
+
+/** FNV-1a over the bytes of every field; doubles by bit pattern. */
+std::uint64_t
+planDigest(const SamplePlan &plan)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    const auto add = [&hash](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (v >> (8 * byte)) & 0xffu;
+            hash *= 1099511628211ull;
+        }
+    };
+    add(static_cast<std::uint64_t>(plan.mode));
+    add(plan.window_runs);
+    add(plan.window_count);
+    add(plan.cluster_count);
+    add(plan.selected.size());
+    for (const std::size_t w : plan.selected)
+        add(w);
+    add(plan.segments.size());
+    for (const SampleSegment &seg : plan.segments) {
+        add(seg.warm_begin);
+        add(seg.begin);
+        add(seg.end);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &seg.scale, sizeof bits);
+        add(bits);
+    }
+    add(plan.total_events);
+    add(plan.total_blocks);
+    add(plan.replayed_events);
+    return hash;
+}
+
+TEST(SamplePlanGolden, PaperSuitePlansAreUnchanged)
+{
+    // Every plan field, pinned for three benchmarks x three seeds at
+    // trace scale 0.5 (train input, auto window and k, 32-byte lines).
+    // A change that moves any window, cluster, weight or segment of a
+    // sample plan fails here; if the change is meant to, regenerate
+    // the digests and say why in the change log.
+    const char *const benches[] = {"m88ksim", "vortex", "gcc"};
+    const std::uint64_t seeds[] = {12345, 7, 99};
+    // golden[b][s]: benches[b] planned with seeds[s].
+    const std::uint64_t golden[3][3] = {
+        {0x5fc3e2b6a3feadfbull, 0x42ece5ed2f00e8a3ull,
+         0xfe290ad1fa2fad38ull},
+        {0x0a56cc9dae5c2e87ull, 0x3071aebaaf068c19ull,
+         0x2b256fd7ef96804full},
+        {0x644319d9cdcf531bull, 0x0507466281d019a6ull,
+         0xc8cb9af823af0d12ull},
+    };
+    const CacheConfig cache;
+    for (std::size_t b = 0; b < 3; ++b) {
+        const BenchmarkCase bench = paperBenchmark(benches[b], 0.5);
+        const Trace trace = synthesizeTrace(bench.model, bench.train);
+        for (std::size_t s = 0; s < 3; ++s) {
+            SamplingOptions opts;
+            opts.mode = SampleMode::kSimpoint;
+            opts.seed = seeds[s];
+            const std::uint64_t digest = planDigest(buildSamplePlan(
+                bench.model.program, trace, cache.line_bytes, opts));
+            EXPECT_EQ(digest, golden[b][s])
+                << benches[b] << " seed " << seeds[s] << ": digest 0x"
+                << std::hex << digest;
+        }
+    }
 }
 
 } // namespace
