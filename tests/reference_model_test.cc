@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential tests: the production cache simulators, the
- * TemporalQueue, the whole TRG build and the sampler's window features
- * and k-means are checked against deliberately naive reference models
+ * TemporalQueue, the whole TRG build, every layout-replay path and the
+ * sampler's window features and k-means are checked against deliberately naive reference models
  * under randomised inputs. These catch subtle state bugs (LRU
  * ordering, eviction accounting, shard merging, tie-breaking) that
  * example-based tests miss.
@@ -18,21 +18,29 @@
 #include <limits>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "topo/cache/attribution.hh"
 #include "topo/cache/direct_mapped_cache.hh"
 #include "topo/cache/set_associative_cache.hh"
+#include "topo/cache/simulate.hh"
+#include "topo/cache/taxonomy.hh"
 #include "topo/exec/exec.hh"
 #include "topo/obs/epoch_counter.hh"
+#include "topo/obs/log.hh"
 #include "topo/obs/metrics.hh"
+#include "topo/obs/timeline.hh"
 #include "topo/profile/temporal_queue.hh"
 #include "topo/profile/trg_builder.hh"
 #include "topo/sampling/kmeans.hh"
 #include "topo/sampling/window_features.hh"
+#include "topo/trace/fetch_stream.hh"
 #include "topo/util/error.hh"
 #include "topo/util/rng.hh"
 
@@ -936,6 +944,222 @@ TEST(KMeansOracle, TinyGridsMatchBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KMeansOracleTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+/**
+ * Naive replay straight from trace events and layout addresses: every
+ * run fetches the lines its bytes cover, one by one, through a
+ * std::list LRU per set (most recent at the front). Nothing is shared
+ * with FetchStream or the production caches.
+ */
+struct NaiveReplay
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::vector<std::uint64_t> fetches_by_proc;
+    std::vector<std::uint64_t> misses_by_proc;
+    /** Distinct lines touched: every first touch is a compulsory miss. */
+    std::uint64_t distinct_lines = 0;
+    /** Per timeline window of window_fetches fetches: (accesses, misses). */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> windows;
+};
+
+NaiveReplay
+naiveReplay(const Program &program, const Layout &layout,
+            const Trace &trace, const CacheConfig &config,
+            std::uint64_t window_fetches)
+{
+    const std::uint64_t line = config.line_bytes;
+    const std::uint64_t sets = config.setCount();
+    std::vector<std::list<std::uint64_t>> content(sets);
+    std::set<std::uint64_t> seen;
+    NaiveReplay out;
+    out.fetches_by_proc.assign(program.procCount(), 0);
+    out.misses_by_proc.assign(program.procCount(), 0);
+    for (const TraceEvent &ev : trace.events()) {
+        const std::uint64_t start = layout.address(ev.proc) + ev.offset;
+        for (std::uint64_t addr = start / line;
+             addr <= (start + ev.length - 1) / line; ++addr) {
+            if (out.accesses % window_fetches == 0)
+                out.windows.emplace_back(0, 0);
+            ++out.accesses;
+            ++out.fetches_by_proc[ev.proc];
+            ++out.windows.back().first;
+            seen.insert(addr);
+            std::list<std::uint64_t> &set = content[addr % sets];
+            const auto it = std::find(set.begin(), set.end(), addr);
+            if (it != set.end()) {
+                set.erase(it);
+            } else {
+                ++out.misses;
+                ++out.misses_by_proc[ev.proc];
+                ++out.windows.back().second;
+                if (set.size() == config.associativity)
+                    set.pop_back();
+            }
+            set.push_front(addr);
+        }
+    }
+    out.distinct_lines = seen.size();
+    return out;
+}
+
+/**
+ * A random program, a line-aligned random layout with gaps, and a
+ * trace mixing loops over a small working set, immediate repeats of
+ * the previous run, and runs that cover whole procedures (many lines,
+ * often more than the cache holds).
+ */
+struct RandomReplayCase
+{
+    Program program{"replay"};
+    Layout layout;
+    Trace trace;
+
+    explicit RandomReplayCase(std::uint64_t seed)
+    {
+        Rng rng(seed);
+        const std::size_t procs = 8 + rng.nextBelow(40);
+        for (std::size_t p = 0; p < procs; ++p) {
+            program.addProcedure(
+                "p" + std::to_string(p),
+                1 + static_cast<std::uint32_t>(rng.nextBelow(3000)));
+        }
+        std::vector<ProcId> order(procs);
+        for (std::size_t p = 0; p < procs; ++p)
+            order[p] = static_cast<ProcId>(p);
+        for (std::size_t p = procs; p > 1; --p)
+            std::swap(order[p - 1], order[rng.nextBelow(p)]);
+        layout = Layout(procs);
+        std::uint64_t next = 64 * rng.nextBelow(4);
+        for (const ProcId proc : order) {
+            layout.setAddress(proc, next);
+            const std::uint64_t end = next + program.proc(proc).size_bytes;
+            next = (end + 63) / 64 * 64 + 64 * rng.nextBelow(4);
+        }
+
+        trace = Trace(procs);
+        const std::size_t events = 3000 + rng.nextBelow(2000);
+        for (std::size_t i = 0; i < events; ++i) {
+            const std::uint64_t pick = rng.nextBelow(100);
+            if (pick < 30 && !trace.events().empty()) {
+                const TraceEvent prev = trace.events().back();
+                trace.append(prev.proc, prev.offset, prev.length);
+                continue;
+            }
+            const ProcId proc = static_cast<ProcId>(
+                pick < 80 ? (i / 500 + rng.nextBelow(5)) % procs
+                          : rng.nextBelow(procs));
+            const std::uint32_t size = program.proc(proc).size_bytes;
+            if (pick >= 90) {
+                trace.append(proc, 0, size);
+                continue;
+            }
+            const auto offset =
+                static_cast<std::uint32_t>(rng.nextBelow(size));
+            const auto length = static_cast<std::uint32_t>(
+                1 + rng.nextBelow(size - offset));
+            trace.append(proc, offset, length);
+        }
+    }
+};
+
+/** Debug logging into a discarding sink, so the replay takes its
+ *  heartbeat variant; restores the global logger on exit. */
+class HeartbeatScope
+{
+  public:
+    explicit HeartbeatScope(bool on)
+        : on_(on), level_(Logger::global().level())
+    {
+        if (!on_)
+            return;
+        Logger::global().setSinks({std::make_shared<DiscardSink>()});
+        Logger::global().setLevel(LogLevel::kDebug);
+    }
+
+    ~HeartbeatScope()
+    {
+        if (!on_)
+            return;
+        Logger::global().setLevel(level_);
+        Logger::global().setSinks({std::make_shared<StderrSink>()});
+    }
+
+    HeartbeatScope(const HeartbeatScope &) = delete;
+    HeartbeatScope &operator=(const HeartbeatScope &) = delete;
+
+  private:
+    struct DiscardSink : LogSink
+    {
+        void write(const LogRecord &) override {}
+    };
+
+    bool on_;
+    LogLevel level_;
+};
+
+class ReplayOracleTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(ReplayOracleTest, EveryPathMatchesListLru)
+{
+    const RandomReplayCase c(GetParam());
+    constexpr std::uint64_t kWindow = 97;
+    for (const CacheConfig config :
+         {CacheConfig{1024, 32, 1}, CacheConfig{8192, 32, 1},
+          CacheConfig{2048, 32, 2}, CacheConfig{4096, 64, 4}}) {
+        const NaiveReplay want =
+            naiveReplay(c.program, c.layout, c.trace, config, kWindow);
+        const FetchStream stream(c.program, c.trace, config.line_bytes);
+        ASSERT_EQ(stream.size(), want.accesses);
+        for (const bool heartbeat : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << config.describe() << " heartbeat="
+                         << heartbeat);
+            const HeartbeatScope scope(heartbeat);
+
+            const SimResult plain =
+                simulateLayout(c.program, c.layout, stream, config);
+            EXPECT_EQ(plain.accesses, want.accesses);
+            EXPECT_EQ(plain.misses, want.misses);
+
+            const SimResult attributed = simulateLayout(
+                c.program, c.layout, stream, config, true);
+            EXPECT_EQ(attributed.accesses, want.accesses);
+            EXPECT_EQ(attributed.misses, want.misses);
+            EXPECT_EQ(attributed.misses_by_proc, want.misses_by_proc);
+
+            AttributionSink attribution(c.program, c.layout, config,
+                                        config.line_bytes);
+            TaxonomySink taxonomy(c.program, stream.programLineCount(),
+                                  config);
+            TimelineRecorder timeline(kWindow, c.program.procCount());
+            SimObservers observers;
+            observers.attribution = &attribution;
+            observers.taxonomy = &taxonomy;
+            observers.timeline = &timeline;
+            const SimResult observed = simulateLayout(
+                c.program, c.layout, stream, config, true, &observers);
+            EXPECT_EQ(observed.accesses, want.accesses);
+            EXPECT_EQ(observed.misses, want.misses);
+            EXPECT_EQ(observed.misses_by_proc, want.misses_by_proc);
+            EXPECT_EQ(attribution.fetchesByProc(), want.fetches_by_proc);
+            EXPECT_EQ(attribution.missesByProc(), want.misses_by_proc);
+            EXPECT_EQ(taxonomy.compulsory(), want.distinct_lines);
+            EXPECT_EQ(taxonomy.compulsory() + taxonomy.capacity() +
+                          taxonomy.conflict(),
+                      want.misses);
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+            for (const TimelineSample &sample : timeline.samples())
+                got.emplace_back(sample.accesses, sample.misses);
+            EXPECT_EQ(got, want.windows);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplayOracleTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 } // namespace
 } // namespace topo
