@@ -1,5 +1,7 @@
 #include "topo/cache/simulate.hh"
 
+#include <type_traits>
+
 #include "topo/cache/attribution.hh"
 #include "topo/cache/direct_mapped_cache.hh"
 #include "topo/cache/set_associative_cache.hh"
@@ -30,21 +32,22 @@ constexpr std::uint64_t kHeartbeatMask = (1ULL << 23) - 1; // ~8.4M
 
 /**
  * Shared replay loop; Cache is DirectMappedCache or a PolicyCache
- * instantiation, all exposing bool access(uint64). The
- * heartbeat and observed (attribution/timeline) variants are compiled
- * separately so the default path pays nothing for progress reporting
- * or observation sinks.
+ * instantiation, all exposing bool access(uint64). The observed
+ * (attribution/taxonomy/timeline) variant is compiled separately so
+ * the other paths pay nothing for observation sinks; @p heartbeat
+ * (debug logging) moves the plain replay off the batch so progress
+ * can be reported per reference.
  */
-template <typename Cache, bool kHeartbeat, bool kObserved>
+template <typename Cache, bool kObserved>
 SimResult
 replay(const Program &program, const Layout &layout,
        const FetchStream &stream, Cache &cache, bool attribute,
-       const SimObservers *observers)
+       bool heartbeat, const SimObservers *observers)
 {
     // Precompute the placed address of every program line so the hot
-    // loop is one table load + cache probe per reference. The stream
-    // supplies 4-byte program line ids; this table is the only part
-    // that changes between candidate layouts.
+    // loop is one table load per run + a cache probe per reference.
+    // The stream's runs name program line ids; this table is the only
+    // part that changes between candidate layouts.
     // 32-bit entries keep the table half the size (it is the loop's
     // only randomly-indexed load besides the frame array, and at
     // paper-suite scale it overflows L1); a 2^32-line layout span
@@ -69,21 +72,19 @@ replay(const Program &program, const Layout &layout,
     }
 
     SimResult result;
+    result.accesses = stream.size();
     if (attribute)
         result.misses_by_proc.assign(program.procCount(), 0);
 
-    const std::uint32_t *ids = stream.lineIds().data();
-    std::uint64_t cursor = 0;
-    const std::uint64_t total = stream.size();
     (void)observers; // only read in the observed instantiation
-    if constexpr (!kHeartbeat && !kObserved) {
+    if constexpr (!kObserved) {
         // Plain unattributed replay — the configuration every
         // placement-evaluation call hits — goes through the cache's
         // run-batched access loop (branchless on the direct-mapped
         // model), probing each run's consecutive line addresses from a
         // single table lookup and skipping cache-resident repeats
         // outright.
-        if (!attribute) {
+        if (!attribute && !heartbeat) {
             const std::uint32_t *const table = addr_of.data();
             const FetchRun *const runs = stream.runs().data();
             result.misses += cache.accessRunBatch(
@@ -93,84 +94,62 @@ replay(const Program &program, const Layout &layout,
                         table[runs[r].first_line], runs[r].line_count,
                         runs[r].repeats);
                 });
-            cursor = total;
+            return result;
         }
     }
-    for (; cursor < total; ++cursor) {
-        const std::uint32_t id = ids[cursor];
-        const std::uint64_t line_addr = addr_of[id];
-        if constexpr (kObserved) {
-            const ProcId proc = stream.procOfLine(id);
-            std::uint32_t set = 0;
-            std::uint64_t victim = 0;
-            bool victim_valid = false;
-            const bool hit =
-                cache.accessTracked(line_addr, set, victim,
-                                    victim_valid);
-            if (observers->attribution != nullptr)
-                observers->attribution->recordAccess(proc, set);
-            if (!hit) {
-                ++result.misses;
-                if (attribute)
-                    ++result.misses_by_proc[proc];
-                if (observers->attribution != nullptr) {
-                    observers->attribution->recordMiss(
-                        proc, set, victim, victim_valid);
+    // Every other path expands each run inline, one reference at a
+    // time in stream order, so every observer sees the full sequence.
+    // A run's lines sit at consecutive placed addresses.
+    std::uint64_t done = 0; // counted only with a heartbeat
+    for (const FetchRun &run : stream.runs()) {
+        const ProcId proc = stream.procOfLine(run.first_line);
+        const std::uint64_t base = addr_of[run.first_line];
+        for (std::uint32_t rep = 0; rep < run.repeats; ++rep) {
+            for (std::uint32_t i = 0; i < run.line_count; ++i) {
+                const std::uint64_t line_addr = base + i;
+                if constexpr (kObserved) {
+                    std::uint32_t set = 0;
+                    std::uint64_t victim = 0;
+                    bool victim_valid = false;
+                    const bool hit = cache.accessTracked(
+                        line_addr, set, victim, victim_valid);
+                    if (observers->attribution != nullptr)
+                        observers->attribution->recordAccess(proc, set);
+                    if (!hit) {
+                        ++result.misses;
+                        if (attribute)
+                            ++result.misses_by_proc[proc];
+                        if (observers->attribution != nullptr) {
+                            observers->attribution->recordMiss(
+                                proc, set, victim, victim_valid);
+                        }
+                    }
+                    if (observers->taxonomy != nullptr) {
+                        // Classify before timeline->record(): record()
+                        // may close the window this fetch belongs to.
+                        const TaxonomyEvent event =
+                            observers->taxonomy->record(
+                                proc, run.first_line + i, hit);
+                        if (observers->timeline != nullptr)
+                            observers->timeline->noteTaxonomy(event);
+                    }
+                    if (observers->timeline != nullptr)
+                        observers->timeline->record(proc, !hit);
+                } else if (!cache.access(line_addr)) {
+                    ++result.misses;
+                    if (attribute)
+                        ++result.misses_by_proc[proc];
+                }
+                if (heartbeat && (++done & kHeartbeatMask) == 0) {
+                    logDebug("simulate", "progress",
+                             {{"done", done},
+                              {"total", result.accesses},
+                              {"misses", result.misses}});
                 }
             }
-            if (observers->taxonomy != nullptr) {
-                // Classify before timeline->record(): record() may
-                // close the window this fetch belongs to.
-                const TaxonomyEvent event =
-                    observers->taxonomy->record(proc, id, hit);
-                if (observers->timeline != nullptr)
-                    observers->timeline->noteTaxonomy(event);
-            }
-            if (observers->timeline != nullptr)
-                observers->timeline->record(proc, !hit);
-        } else if (!cache.access(line_addr)) {
-            ++result.misses;
-            if (attribute)
-                ++result.misses_by_proc[stream.procOfLine(id)];
-        }
-        if constexpr (kHeartbeat) {
-            if (((cursor + 1) & kHeartbeatMask) == 0) {
-                logDebug("simulate", "progress",
-                         {{"done", cursor + 1},
-                          {"total", total},
-                          {"misses", result.misses}});
-            }
         }
     }
-    result.accesses = cursor;
-    // Caches start empty and lines never invalidate, so each miss
-    // either filled an empty frame or displaced a valid line.
-    result.evictions = result.misses - cache.validLineCount();
     return result;
-}
-
-template <typename Cache>
-SimResult
-replayDispatch(const Program &program, const Layout &layout,
-               const FetchStream &stream, Cache &cache, bool attribute,
-               const SimObservers *observers)
-{
-    const bool heartbeat = logEnabled(LogLevel::kDebug);
-    if (observers != nullptr && observers->any()) {
-        // A heartbeat variant keeps long attributed runs debuggable.
-        if (heartbeat) {
-            return replay<Cache, true, true>(program, layout, stream,
-                                             cache, attribute, observers);
-        }
-        return replay<Cache, false, true>(program, layout, stream, cache,
-                                          attribute, observers);
-    }
-    if (heartbeat) {
-        return replay<Cache, true, false>(program, layout, stream, cache,
-                                          attribute, nullptr);
-    }
-    return replay<Cache, false, false>(program, layout, stream, cache,
-                                       attribute, nullptr);
 }
 
 } // namespace
@@ -185,9 +164,17 @@ simulateLayout(const Program &program, const Layout &layout,
     const bool observed = observers != nullptr && observers->any();
     PhaseTimer timer("simulate");
     SimResult result;
+    const bool heartbeat = logEnabled(LogLevel::kDebug);
     auto run = [&](auto &cache) {
-        result = replayDispatch(program, layout, stream, cache,
-                                attribute, observers);
+        using Cache = std::remove_reference_t<decltype(cache)>;
+        result = observed
+                     ? replay<Cache, true>(program, layout, stream, cache,
+                                           attribute, heartbeat, observers)
+                     : replay<Cache, false>(program, layout, stream, cache,
+                                            attribute, heartbeat, nullptr);
+        // Caches start empty and lines never invalidate, so each miss
+        // either filled an empty frame or displaced a valid line.
+        result.evictions = result.misses - cache.validLineCount();
     };
     if (config.associativity == 1) {
         // One way leaves no replacement choice: every policy

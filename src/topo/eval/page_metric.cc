@@ -38,26 +38,34 @@ measurePageStats(const Program &program, const Layout &layout,
                        std::list<std::uint64_t>::iterator>
         where;
 
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        const FetchRef ref = stream.ref(i);
-        const std::uint64_t page =
-            (base_line[ref.proc] + ref.line) / lines_per_page;
-        touched.insert(page);
-        if (page != last_page) {
-            if (last_page != ~std::uint64_t{0})
-                ++stats.page_switches;
-            last_page = page;
+    // Walk the runs' references in stream order; a run's lines sit at
+    // consecutive placed lines. Only a page change can touch a new page.
+    for (const FetchRun &run : stream.runs()) {
+        const ProcId proc = stream.procOfLine(run.first_line);
+        const std::uint64_t first =
+            base_line[proc] + (run.first_line - stream.lineBase(proc));
+        for (std::uint32_t rep = 0; rep < run.repeats; ++rep) {
+            for (std::uint64_t line = first; line < first + run.line_count;
+                 ++line) {
+                const std::uint64_t page = line / lines_per_page;
+                if (page == last_page)
+                    continue;
+                touched.insert(page);
+                if (last_page != ~std::uint64_t{0})
+                    ++stats.page_switches;
+                last_page = page;
 
-            auto it = where.find(page);
-            if (it != where.end()) {
-                lru.splice(lru.begin(), lru, it->second);
-            } else {
-                ++stats.lru_faults;
-                lru.push_front(page);
-                where[page] = lru.begin();
-                if (lru.size() > resident_pages) {
-                    where.erase(lru.back());
-                    lru.pop_back();
+                auto it = where.find(page);
+                if (it != where.end()) {
+                    lru.splice(lru.begin(), lru, it->second);
+                } else {
+                    ++stats.lru_faults;
+                    lru.push_front(page);
+                    where[page] = lru.begin();
+                    if (lru.size() > resident_pages) {
+                        where.erase(lru.back());
+                        lru.pop_back();
+                    }
                 }
             }
         }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "topo/exec/exec.hh"
+#include "topo/trace/fetch_stream.hh"
 #include "topo/util/error.hh"
 
 namespace topo
@@ -10,16 +11,6 @@ namespace topo
 
 namespace
 {
-
-/** Line fetches of one run at line size @p line_bytes (FetchStream's
- *  expansion rule: lines floor(off/L) .. floor((off+len-1)/L)). */
-inline std::uint64_t
-runLines(const TraceEvent &ev, std::uint32_t line_bytes)
-{
-    const std::uint32_t first = ev.offset / line_bytes;
-    const std::uint32_t last = (ev.offset + ev.length - 1) / line_bytes;
-    return static_cast<std::uint64_t>(last - first) + 1;
-}
 
 /** Line fetches of one procedure within one window. */
 struct ProcLines
@@ -79,7 +70,7 @@ buildTraceWindows(const Program &program, const Trace &trace,
         std::uint64_t same = 0;
         for (std::size_t i = begin; i < end; ++i) {
             const TraceEvent &ev = events[i];
-            const std::uint64_t lines = runLines(ev, line_bytes);
+            const std::uint64_t lines = lineSpan(ev, line_bytes).count;
             blocks += lines;
             if (seen_in[ev.proc] == w + 1) {
                 touched[slot_of[ev.proc]].lines += lines;

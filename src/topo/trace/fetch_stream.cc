@@ -18,9 +18,8 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
     std::uint64_t total_lines = 0;
     for (std::size_t p = 0; p < program.procCount(); ++p) {
         line_base_[p] = static_cast<std::uint32_t>(total_lines);
-        const std::uint32_t size =
-            program.proc(static_cast<ProcId>(p)).size_bytes;
-        total_lines += (size + line_bytes - 1) / line_bytes;
+        total_lines += program.sizeInLines(static_cast<ProcId>(p),
+                                           line_bytes);
         require(total_lines <= ~std::uint32_t{0},
                 "FetchStream: program exceeds 2^32 lines");
     }
@@ -33,44 +32,62 @@ FetchStream::FetchStream(const Program &program, const Trace &trace,
             proc_of_line_[id] = static_cast<ProcId>(p);
     }
 
-    // Pass 1 validates every run and sizes the stream exactly. The
-    // fault hook is armed once outside the loop so the common case
+    // Pass 1 validates every run and counts fetches and runs exactly.
+    // The fault hook is armed once outside the loop so the common case
     // stays a pure check; the periodic check keeps the injected-error
     // path (mid-expansion failure) exercisable without a per-event
     // cost when armed.
     const bool faulty = faultArmed(FaultKind::kThrowIo);
     const std::vector<TraceEvent> &events = trace.events();
     std::size_t processed = 0;
-    std::size_t total_refs = 0;
+    std::size_t run_count = 0;
+    FetchRun last{0, 0, 0}; // no run has zero lines
+    const TraceEvent *prev = nullptr;
     for (const TraceEvent &ev : events) {
         if (faulty && (++processed & 0xFF) == 0)
             faultMaybeThrowIo("fetch_stream");
+        // An event equal to its predecessor (a loop iteration, most
+        // events) passed the same checks and repeats the same lines.
+        if (prev != nullptr && ev == *prev) {
+            size_ += last.line_count;
+            continue;
+        }
+        prev = &ev;
         requireData(ev.proc < program.procCount(),
                     "FetchStream: invalid procedure id in trace");
+        // A zero-length run would wrap lineSpan(); only a decoded
+        // trace that skipped Trace::validate can carry one.
+        requireData(ev.length > 0, "FetchStream: zero-length run");
         const std::uint64_t end =
             static_cast<std::uint64_t>(ev.offset) + ev.length;
         requireData(end <= program.proc(ev.proc).size_bytes,
                     "FetchStream: run exceeds procedure bounds");
-        total_refs += (end - 1) / line_bytes - ev.offset / line_bytes + 1;
+        const LineSpan span = lineSpan(ev, line_bytes);
+        const std::uint32_t first = line_base_[ev.proc] + span.first;
+        size_ += span.count;
+        if (first != last.first_line || span.count != last.line_count) {
+            ++run_count;
+            last = FetchRun{first, span.count, 1};
+        }
     }
 
-    // Pass 2 fills the validated stream without further checks.
-    line_ids_.resize(total_refs);
-    runs_.reserve(events.size());
-    std::uint32_t *out = line_ids_.data();
+    // Pass 2 fills the validated runs without further checks; a run
+    // covering the same lines as the previous one repeats it.
+    runs_.reserve(run_count);
+    prev = nullptr;
     for (const TraceEvent &ev : events) {
-        const std::uint32_t first = line_base_[ev.proc] +
-                                    ev.offset / line_bytes;
-        const std::uint32_t count =
-            (ev.offset + ev.length - 1) / line_bytes -
-            ev.offset / line_bytes + 1;
+        if (prev != nullptr && ev == *prev) {
+            ++runs_.back().repeats;
+            continue;
+        }
+        prev = &ev;
+        const LineSpan span = lineSpan(ev, line_bytes);
+        const std::uint32_t first = line_base_[ev.proc] + span.first;
         if (!runs_.empty() && runs_.back().first_line == first &&
-            runs_.back().line_count == count)
+            runs_.back().line_count == span.count)
             ++runs_.back().repeats;
         else
-            runs_.push_back(FetchRun{first, count, 1});
-        for (std::uint32_t i = 0; i < count; ++i)
-            *out++ = first + i;
+            runs_.push_back(FetchRun{first, span.count, 1});
     }
 }
 

@@ -226,21 +226,21 @@ TEST(AllocParity, TrgWalkAllocatesTheSameForALongerTrace)
 
 TEST(AllocParity, FetchStreamAllocatesTheSameForALongerTrace)
 {
-    // 16-byte lines: every run covers three lines. The stream is sized
-    // exactly, so it never grows (and never over-allocates) by an
-    // estimate.
+    // 16-byte lines: every run covers three lines. The runs are counted
+    // before they are stored, so they never grow (and never
+    // over-allocate) by an estimate.
     const CycleFixture fx;
     std::size_t short_refs = 0;
     std::size_t long_refs = 0;
     const std::uint64_t short_allocs = allocationsOf([&] {
         const FetchStream stream(fx.program, fx.short_trace, 16);
         short_refs = stream.size();
-        EXPECT_EQ(stream.lineIds().capacity(), stream.size());
+        EXPECT_EQ(stream.runs().capacity(), stream.runs().size());
     });
     const std::uint64_t long_allocs = allocationsOf([&] {
         const FetchStream stream(fx.program, fx.long_trace, 16);
         long_refs = stream.size();
-        EXPECT_EQ(stream.lineIds().capacity(), stream.size());
+        EXPECT_EQ(stream.runs().capacity(), stream.runs().size());
     });
     EXPECT_EQ(long_refs, 40 * short_refs);
     EXPECT_EQ(long_allocs, short_allocs);
