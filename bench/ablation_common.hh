@@ -5,8 +5,8 @@
  * configuration and report test-input miss rates.
  */
 
-#ifndef TOPO_BENCH_ABLATION_COMMON_HH
-#define TOPO_BENCH_ABLATION_COMMON_HH
+#ifndef TOPO_ABLATION_COMMON_HH
+#define TOPO_ABLATION_COMMON_HH
 
 #include <iostream>
 #include <string>
@@ -40,4 +40,4 @@ gbscMissRate(const BenchmarkCase &bench, const EvalOptions &eval)
 
 } // namespace topo::bench
 
-#endif // TOPO_BENCH_ABLATION_COMMON_HH
+#endif // TOPO_ABLATION_COMMON_HH

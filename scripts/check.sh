@@ -159,17 +159,6 @@ cmp -s "$WORK/pol_default.json" "$WORK/pol_lru.json" || {
     echo "FAIL: --probe-policy could not identify every policy"
     exit 1; }
 
-echo "== bench smoke =="
-TOPO_BENCH_SCALE=0.02 TOPO_BENCH_NAMES=m88ksim \
-    scripts/bench.sh "$WORK/BENCH_smoke.json" "$BUILD" > /dev/null
-[ -s "$WORK/BENCH_smoke.json" ] || {
-    echo "FAIL: bench.sh produced no BENCH json"; exit 1; }
-grep -q '"topo_bench": 1' "$WORK/BENCH_smoke.json" || {
-    echo "FAIL: BENCH json missing the topo_bench marker"; exit 1; }
-"$BUILD/tools/topo_report" --check-json="$WORK/BENCH_smoke.json" \
-    > /dev/null || {
-    echo "FAIL: BENCH json does not parse"; exit 1; }
-
 echo "== paper outputs =="
 # Every table/figure/section/ablation/extension bench binary and the
 # microsuite comparison must run to completion on a small input.
@@ -214,19 +203,14 @@ for bad in "--trace-scale=0" "--trace-scale=nan" \
 done
 
 echo "== perf smoke =="
-# The microbenchmarks must run (a filter keeps the smoke fast), and
-# the perf gate must hold against the committed baseline. The smoke
-# uses single-job bench runs (stable per-run wall times) and a
-# generous tolerance: shared CI boxes are noisy, and the gate's job
-# here is to catch order-of-magnitude hot-path regressions — the
-# committed 15% default is for dedicated perf runs.
+# The microbenchmarks behind the paper's runtime claim (section 4.4)
+# must run; a filter keeps the smoke fast. Timing is not judged here:
+# perfbench/run.py times the whole pipeline, and the bench_miss_golden
+# ctest pins the exact misses.
 "$BUILD/bench/perf_microbench" \
     --benchmark_filter='FlatMap|UnorderedMap|TraceLoad|TrgBuild|FetchStream|SamplePlan' \
     --benchmark_min_time=0.05 > /dev/null 2>&1 || {
     echo "FAIL: perf_microbench did not run"; exit 1; }
-TOPO_BENCH_JOBS=1 TOPO_PERF_TOL="${TOPO_PERF_TOL:-0.6}" \
-    scripts/perf_gate.sh "" "$BUILD" || {
-    echo "FAIL: perf gate"; exit 1; }
 
 SAN="$BUILD-asan"
 echo "== configure ($SAN, ASan+UBSan) =="

@@ -663,7 +663,7 @@ checkBenchDoc(const JsonValue &doc, const std::string &where)
 {
     checkKeys(doc,
               {"topo_bench", "date", "benchmarks", "trace_scale",
-               "cache", "policy", "jobs", "threads", "peak_rss_kb",
+               "cache", "policy", "jobs", "peak_rss_kb",
                "provenance", "runs"},
               where);
     checkRequired(doc,
@@ -680,12 +680,11 @@ checkBenchDoc(const JsonValue &doc, const std::string &where)
             where + ".runs[" + std::to_string(i) + "]";
         checkKeys(row,
                   {"benchmark", "algorithm", "accesses", "misses",
-                   "miss_rate", "wall_ms", "blocks_per_sec",
-                   "taxonomy", "sampling"},
+                   "miss_rate", "taxonomy", "sampling"},
                   run_where);
         checkRequired(row,
                       {"benchmark", "algorithm", "accesses", "misses",
-                       "miss_rate", "wall_ms", "blocks_per_sec"},
+                       "miss_rate"},
                       run_where);
         if (const JsonValue *taxonomy = row.find("taxonomy"))
             checkLayoutTaxonomy(*taxonomy,

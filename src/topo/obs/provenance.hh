@@ -8,7 +8,7 @@
  * geometry, job count, trace scale, ...) are registered by the tool
  * with setProvenance() as soon as they are resolved. provenanceJson()
  * renders the combined manifest, and every --metrics-out and
- * BENCH_*.json snapshot embeds it under "provenance".
+ * --bench-out document embeds it under "provenance".
  */
 
 #ifndef TOPO_OBS_PROVENANCE_HH

@@ -129,7 +129,7 @@ class TemporalQueue
      * membership test sits on the per-reference path of every TRG /
      * pair-database walk, and a plain byte load avoids the proxy
      * object and shift/mask of the packed-bit specialisation
-     * (measured in bench/perf_microbench BM_TemporalQueueWalk).
+     * (measured in bench/perf_microbench BM_TemporalQueueReference).
      */
     std::vector<std::uint8_t> resident_;
     BlockId head_ = kNone;

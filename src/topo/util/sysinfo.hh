@@ -1,7 +1,7 @@
 /**
  * @file
  * Small process/system introspection helpers for the bench harness:
- * peak resident set size and UTC timestamps for BENCH_*.json records.
+ * peak resident set size and UTC timestamps for --bench-out records.
  */
 
 #ifndef TOPO_UTIL_SYSINFO_HH
@@ -22,7 +22,7 @@ std::uint64_t peakRssKb();
 /** Current UTC time as "YYYY-MM-DDTHH:MM:SSZ". */
 std::string utcTimestamp();
 
-/** Current UTC date as "YYYYMMDD" (BENCH_<date>.json naming). */
+/** Current UTC date as "YYYYMMDD". */
 std::string utcDateCompact();
 
 } // namespace topo

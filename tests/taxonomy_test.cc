@@ -555,5 +555,59 @@ TEST(TaxonomyReportTest, ValidatorAcceptsRealAndRejectsBrokenDocs)
     EXPECT_THROW(validateArtifactJson(stranger), TopoError);
 }
 
+/** A minimal topo_sim --bench-out document with one run row. */
+JsonValue
+minimalBenchDoc(JsonValue row)
+{
+    JsonValue runs = JsonValue::array();
+    runs.push(std::move(row));
+    JsonValue doc = JsonValue::object();
+    doc.set("topo_bench", JsonValue::number(1));
+    doc.set("date", JsonValue::string("2026-01-01T00:00:00Z"));
+    doc.set("benchmarks", JsonValue::string("m88ksim"));
+    doc.set("trace_scale", JsonValue::number(0.05));
+    doc.set("cache", JsonValue::string("8KB direct-mapped, 32B lines"));
+    doc.set("jobs", JsonValue::number(1));
+    doc.set("runs", std::move(runs));
+    return doc;
+}
+
+JsonValue
+benchRow(bool with_accesses = true)
+{
+    JsonValue row = JsonValue::object();
+    row.set("benchmark", JsonValue::string("m88ksim"));
+    row.set("algorithm", JsonValue::string("gbsc"));
+    if (with_accesses)
+        row.set("accesses", JsonValue::number(1000));
+    row.set("misses", JsonValue::number(10));
+    row.set("miss_rate", JsonValue::number(0.01));
+    return row;
+}
+
+TEST(TaxonomyReportTest, BenchDocCarriesNoTimingFields)
+{
+    EXPECT_EQ(validateArtifactJson(minimalBenchDoc(benchRow())),
+              "topo_bench");
+
+    // Rows hold results only: timing keys are unknown, not optional.
+    for (const char *key : {"wall_ms", "blocks_per_sec"}) {
+        JsonValue row = benchRow();
+        row.set(key, JsonValue::number(1.0));
+        EXPECT_THROW(validateArtifactJson(minimalBenchDoc(row)),
+                     TopoError)
+            << key;
+    }
+    // "threads" duplicated "jobs" and is gone from the schema too.
+    {
+        JsonValue doc = minimalBenchDoc(benchRow());
+        doc.set("threads", JsonValue::number(1));
+        EXPECT_THROW(validateArtifactJson(doc), TopoError);
+    }
+    // Every row must say how many accesses it replayed.
+    EXPECT_THROW(validateArtifactJson(minimalBenchDoc(benchRow(false))),
+                 TopoError);
+}
+
 } // namespace
 } // namespace topo

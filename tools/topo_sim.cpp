@@ -12,9 +12,9 @@
  * paper-suite benchmarks — synthesis, profiling, placement, and
  * simulation — which makes it the one-command way to capture phase
  * timings with --metrics-out. --algorithms=default,ph,hkc,gbsc runs
- * several placements head-to-head; --bench-out=FILE records every run
- * (wall time, blocks/sec, peak RSS, miss rate) as a BENCH_*.json
- * document for scripts/bench.sh.
+ * several placements head-to-head; --bench-out=FILE records every
+ * run's accesses, misses and miss rate (plus peak RSS and provenance)
+ * as a topo_bench JSON document, identical for every --jobs value.
  *
  * Observability: --attribution attaches the per-procedure /
  * per-set attribution sink and prints the top conflicting procedure
@@ -26,7 +26,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -185,22 +184,6 @@ observationFrom(const Options &opts, const Program &program,
     return obs;
 }
 
-/** Timed simulation; returns wall milliseconds via @p wall_ms. */
-SimResult
-timedSimulate(const Program &program, const Layout &layout,
-              const FetchStream &stream, const CacheConfig &cache,
-              bool attribute, const SimObservers *observers,
-              double &wall_ms)
-{
-    const auto start = std::chrono::steady_clock::now();
-    const SimResult result = simulateLayout(program, layout, stream,
-                                            cache, attribute, observers);
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    return result;
-}
-
 /** Post-run reporting shared by both paths. */
 void
 reportObservation(std::ostream &os, const Program &program,
@@ -223,7 +206,6 @@ struct RunRecord
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
     double miss_rate = 0.0;
-    double wall_ms = 0.0;
     /** 3C breakdown; meaningful only when has_taxonomy is set. */
     bool has_taxonomy = false;
     std::uint64_t compulsory = 0;
@@ -242,14 +224,6 @@ struct RunRecord
     bool has_exact = false;
     double sample_exact_miss_rate = 0.0;
     double sample_abs_error = 0.0;
-
-    double
-    blocksPerSec() const
-    {
-        return wall_ms > 0.0 ? static_cast<double>(accesses) /
-                                   (wall_ms / 1000.0)
-                             : 0.0;
-    }
 };
 
 /** Copy a sample plan + estimate into a run record. */
@@ -310,7 +284,7 @@ recordTaxonomy(RunRecord &record, const TaxonomySink &sink)
                              sink.reuseHistogram().end());
 }
 
-/** Write the BENCH_*.json document consumed by scripts/bench.sh. */
+/** Write the topo_bench document named by --bench-out. */
 void
 writeBenchJson(const std::string &path, const std::string &benchmarks,
                double trace_scale, const CacheConfig &cache,
@@ -329,10 +303,7 @@ writeBenchJson(const std::string &path, const std::string &benchmarks,
         root.set("policy", JsonValue::string(
                                replacementPolicyName(cache.policy)));
     }
-    // Parallelism provenance: the configured lane count and the OS
-    // threads that participate (pool workers + the calling thread).
     root.set("jobs", JsonValue::number(execJobs()));
-    root.set("threads", JsonValue::number(execJobs()));
     root.set("peak_rss_kb",
              JsonValue::number(static_cast<double>(peakRssKb())));
     root.set("provenance", provenanceJson());
@@ -346,8 +317,6 @@ writeBenchJson(const std::string &path, const std::string &benchmarks,
         row.set("misses",
                 JsonValue::number(static_cast<double>(run.misses)));
         row.set("miss_rate", JsonValue::number(run.miss_rate));
-        row.set("wall_ms", JsonValue::number(run.wall_ms));
-        row.set("blocks_per_sec", JsonValue::number(run.blocksPerSec()));
         if (run.has_taxonomy) {
             JsonValue taxonomy = JsonValue::object();
             taxonomy.set("compulsory",
@@ -501,18 +470,12 @@ runBenchmark(const Options &opts)
             layout.validate(bundle.program(), eval.cache.line_bytes);
 
             if (bundle.sampled()) {
-                const auto start = std::chrono::steady_clock::now();
                 const SampledSimResult est =
                     bundle.sampledTestResult(layout);
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
                 out << "algorithm:  " << algo.name() << "\n";
                 printSampledResult(out, bundle.testPlan(), est);
                 cell.record.benchmark = bundle.name();
                 cell.record.algorithm = algo_name;
-                cell.record.wall_ms = wall_ms;
                 recordSampling(cell.record, bundle.testPlan(), est);
                 if (eval.sampling.verify) {
                     const SimResult exact =
@@ -536,11 +499,10 @@ runBenchmark(const Options &opts)
             Observation obs = observationFrom(
                 opts, bundle.program(), layout, eval.cache,
                 bundle.testStream());
-            double wall_ms = 0.0;
-            const SimResult result = timedSimulate(
+            const SimResult result = simulateLayout(
                 bundle.program(), layout, bundle.testStream(),
                 eval.cache, attribute,
-                obs.active ? &obs.observers : nullptr, wall_ms);
+                obs.active ? &obs.observers : nullptr);
 
             out << "algorithm:  " << algo.name() << "\n";
             printResult(out, result);
@@ -553,7 +515,6 @@ runBenchmark(const Options &opts)
             cell.record.accesses = result.accesses;
             cell.record.misses = result.misses;
             cell.record.miss_rate = result.missRate();
-            cell.record.wall_ms = wall_ms;
             if (obs.taxonomy)
                 recordTaxonomy(cell.record, *obs.taxonomy);
             cell.output = out.str();
@@ -682,13 +643,8 @@ run(const Options &opts)
         setProvenance("sampling", "simpoint");
         const SamplePlan plan = buildSamplePlan(
             program, trace, eval.cache.line_bytes, sampling);
-        const auto start = std::chrono::steady_clock::now();
         const SampledSimResult est = estimateLayout(
             program, layout, trace, plan, eval.cache, false);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
         std::cout << "cache:      " << eval.cache.describe() << "\n";
         std::cout << "layout:     "
                   << (layout_path.empty() ? "default (source order)"
@@ -698,7 +654,6 @@ run(const Options &opts)
         RunRecord record;
         record.benchmark = trace_path;
         record.algorithm = layout_path.empty() ? "default" : layout_path;
-        record.wall_ms = wall_ms;
         recordSampling(record, plan, est);
         if (sampling.verify) {
             const FetchStream stream(program, trace,
@@ -732,10 +687,9 @@ run(const Options &opts)
     const bool attribute = opts.getBool("attribute", false);
     Observation obs = observationFrom(opts, program, layout, eval.cache,
                                       stream);
-    double wall_ms = 0.0;
-    const SimResult result = timedSimulate(
+    const SimResult result = simulateLayout(
         program, layout, stream, eval.cache, attribute,
-        obs.active ? &obs.observers : nullptr, wall_ms);
+        obs.active ? &obs.observers : nullptr);
 
     std::cout << "cache:      " << eval.cache.describe() << "\n";
     std::cout << "layout:     "
@@ -754,7 +708,6 @@ run(const Options &opts)
         record.accesses = result.accesses;
         record.misses = result.misses;
         record.miss_rate = result.missRate();
-        record.wall_ms = wall_ms;
         if (obs.taxonomy)
             recordTaxonomy(record, *obs.taxonomy);
         writeBenchJson(bench_out, trace_path, 1.0, eval.cache,
@@ -823,7 +776,8 @@ main(int argc, char **argv)
         "  --sample-verify (also run exact; report the error)\n"
         "  --sample-max-error=F (fail when |est-exact| miss-rate\n"
         "      error exceeds F; requires --sample-verify)\n"
-        "  --bench-out=FILE (BENCH_*.json run record)\n"
+        "  --bench-out=FILE (topo_bench JSON run record; runs are\n"
+        "      identical for every --jobs value)\n"
         "  --recover (salvage a damaged trace and continue)\n"
         "  --fault-spec=KIND@P[:seed] (read_short|bitflip|throw_io)\n"
         "  --log-level=L --log-file=FILE --metrics-out=FILE\n"
